@@ -230,12 +230,7 @@ def iteration_error_bound(consts, n, k, fine_err, coarse_err):
         raise ValueError("propagator errors must be nonnegative")
     a, b, c = consts.a, consts.b, consts.c
     mm = min(k, n)
-    if mm == 0:
-        first = 0.0
-    elif abs(c - 1.0) <= C_LIMIT_TOL:
-        first = a * (mm + b) * (1.0 + b) ** (mm - 2)
-    else:
-        first = a * (c * (b + c) ** (mm - 1) - (b + 1.0) ** (mm - 1)) / (c - 1.0)
-    coeff = math.comb(n - 1, k) if k <= n - 1 else 0
-    second = float(coeff) * b**k * c ** (n - k - 1) if coeff else 0.0
+    first = a * double_sum_bound(BoundParams(a, b, c, mm, mm)) if mm else 0.0
+    # exactly zero from k = n on; b**k * 0.0 could be inf * 0 = nan
+    second = b**k * single_sum_bound(BoundParams(a, b, c, n, k)) if k < n else 0.0
     return first * fine_err + second * coarse_err

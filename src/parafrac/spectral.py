@@ -109,22 +109,24 @@ def assemble_diffusion(op, state, t, problem):
     ``state`` holds the interior nodal values of ``u``; the Dirichlet
     boundary values are zero, which is also what the coefficient sees at
     the two boundary nodes.  Assembly runs on the full grid and the
-    boundary rows and columns are dropped afterwards.
+    boundary rows and columns are dropped afterwards.  A 2-D ``state`` is
+    a stack of states and gives a stack of matrices; ``t`` is then a scalar
+    or a column of one time per state.
     """
     state = np.asarray(state, dtype=float)
-    if state.shape != (op.interior_size,):
+    if state.ndim not in (1, 2) or state.shape[-1] != op.interior_size:
         raise ValueError(
             f"state must hold {op.interior_size} interior values, got shape {state.shape}"
         )
-    full = np.zeros(op.degree + 1)
-    full[1:-1] = state
+    full = np.zeros(state.shape[:-1] + op.nodes.shape)
+    full[..., 1:-1] = state
     dv = np.asarray(problem.diffusion(op.nodes, t, full), dtype=float)
-    dv = np.broadcast_to(dv, op.nodes.shape)
+    dv = np.broadcast_to(dv, full.shape)
     if not np.isfinite(dv).all():
-        bad = int(np.flatnonzero(~np.isfinite(dv))[0])
+        bad = int(np.flatnonzero(~np.isfinite(dv))[0] % op.nodes.size)
         raise CoefficientError(bad, "diffusion coefficient is not finite")
-    afull = (op.d1 * dv) @ op.d1
-    return afull[1:-1, 1:-1]
+    afull = (op.d1 * dv[..., None, :]) @ op.d1
+    return afull[..., 1:-1, 1:-1]
 
 
 def l2_norm(op, values):

@@ -1,7 +1,5 @@
 """Semi-implicit L1 marching schemes.
 
-Three propagators share the same spatial machinery:
-
 * :func:`coarse_step` / :func:`run_coarse` march on the coarse grid with
   the full coarse history (the cheap sequential propagator).
 * :func:`fine_propagate` marches one coarse interval on the fine subgrid,
@@ -10,9 +8,19 @@ Three propagators share the same spatial machinery:
 * :func:`run_fine_sequential` marches the whole horizon on the uniform
   fine grid with the complete fine history (the expensive reference).
 
+Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
+frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
+one dense solve; each propagator only builds its history sum.  One interval
+march, :func:`_march`, serves :func:`fine_propagate` and, on a stack of
+intervals, :func:`fine_sweep_intervals`.  Two solves stay on purpose:
+scipy's LU with a small-pivot check for single systems, and numpy's stacked
+``linalg.solve`` for the sweep, which releases the GIL but hides its pivots.
+An exact check per stacked system made 1-thread parareal 1.3 to 7 times
+slower, and a solve picked by batch size would tie results to the thread
+count.
+
 States are vectors of interior collocation values; trajectories are arrays
-of shape ``(nodes, interior)``.  Coefficients are evaluated semi-implicitly
-at the previous substep, so every step is one dense LU solve.
+of shape ``(nodes, interior)``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CoefficientError, SolverFailure
+from .errors import SolverFailure
 from .l1 import gamma_2_minus, weights_for
 from .spectral import assemble_diffusion
 
@@ -54,11 +62,6 @@ def initial_state(problem, op):
     return np.broadcast_to(u0, (op.interior_size,)).astype(float, copy=True)
 
 
-def _source_values(problem, op, u, t):
-    f = np.asarray(problem.source(op.interior_nodes, t, u), dtype=float)
-    return np.broadcast_to(f, (op.interior_size,))
-
-
 def _lu_solve_checked(system, rhs, step):
     """Dense LU with partial pivoting; rejects singular or tiny pivots."""
     try:
@@ -73,6 +76,42 @@ def _lu_solve_checked(system, rhs, step):
     if not np.isfinite(out).all():
         raise SolverFailure(step, "non-finite solution from linear solve")
     return out
+
+
+def _stacked_solve(systems, rhs, step):
+    """Stacked solve without a pivot check; ``step = (intervals, r)``.
+
+    A failure names the first failing interval, not the block it is in.
+    """
+    intervals, r = step
+    try:
+        out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        # numpy does not say which system failed; an exact zero pivot has sign 0
+        bad = int(np.argmin(np.abs(np.linalg.slogdet(systems)[0])))
+        raise SolverFailure((intervals[bad], r), f"fine-sweep solve failed: {exc}") from exc
+    if not np.isfinite(out).all():
+        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise SolverFailure((intervals[bad], r), "non-finite solution in fine sweep")
+    return out
+
+
+def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
+    """One semi-implicit step: solve ``(I - gam A) u = history + gam f + coupling``.
+
+    ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time, or
+    a stack of states and a column of times, with the matching ``solve``.
+    ``coupling`` may be ``None``; it is added last, which fixes the rounding.
+    """
+    a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
+    f = np.asarray(problem.source(op.interior_nodes, t_prev, u_prev), dtype=float)
+    rhs = history + gam * np.broadcast_to(f, u_prev.shape)
+    if coupling is not None:
+        rhs += coupling
+    # the same bits as eye - gam * a_mat, with one temporary fewer
+    system = np.multiply(a_mat, -gam)
+    system += _eye(op.interior_size)
+    return solve(system, rhs, step)
 
 
 def _history_weights(b, n):
@@ -102,14 +141,9 @@ def coarse_step(history, op, grids, problem, step_index=None):
         step_index = n
     alpha = problem.alpha
     b = weights_for(alpha).on_grid(1, n + 2)
-    w = _history_weights(b, n)
-    t_n = n * grids.dT
-    u_n = states[n]
     gam = grids.dT**alpha * gamma_2_minus(alpha)
-    a_mat = assemble_diffusion(op, u_n, t_n, problem)
-    rhs = w @ states + gam * _source_values(problem, op, u_n, t_n)
-    system = _eye(op.interior_size) - gam * a_mat
-    return _lu_solve_checked(system, rhs, step_index)
+    return _step(op, problem, states[n], n * grids.dT, gam, _history_weights(b, n) @ states,
+                 None, _lu_solve_checked, step_index)
 
 
 def run_coarse(problem, op, grids):
@@ -139,6 +173,34 @@ def _coarse_contribution(wt, hist, n, m, alpha):
     return -(float(m) ** (-alpha)) * (picks.T @ increments[::-1])
 
 
+def _march(start, hist, n, op, grids, problem, solve):
+    """Fine paths ``paths[..., r, :]`` at nodes ``(n, r)``, ``r = 0..m``.
+
+    ``n`` is one interval or a range, ``start`` the state(s) at node ``n``;
+    ``hist`` (coarse states from node 0) enters through the coarse coupling.
+    """
+    m = grids.m
+    alpha = problem.alpha
+    wt = weights_for(alpha)
+    rows = wt.fine_rows(m)
+    gam = grids.dt**alpha * gamma_2_minus(alpha)
+    if isinstance(n, range):
+        base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
+        coupling = np.stack([_coarse_contribution(wt, hist[: j + 1], j, m, alpha) for j in n])
+    else:
+        base_t = n * grids.dT
+        coupling = _coarse_contribution(wt, hist[: n + 1], n, m, alpha)
+
+    paths = np.empty(start.shape[:-1] + (m + 1, op.interior_size))
+    paths[..., 0, :] = start
+    for r in range(1, m + 1):
+        history = np.einsum("j,...js->...s", rows[r - 1], paths[..., :r, :])
+        paths[..., r, :] = _step(op, problem, paths[..., r - 1, :],
+                                 base_t + (r - 1) * grids.dt, gam, history,
+                                 coupling[..., r - 1, :], solve, (n, r))
+    return paths
+
+
 def fine_propagate(start, coarse_history, op, grids, problem):
     """March the hybrid scheme across one coarse interval.
 
@@ -161,86 +223,23 @@ def fine_propagate(start, coarse_history, op, grids, problem):
     scale = max(1.0, float(np.abs(start).max()))
     if float(np.abs(hist[n] - start).max()) > START_MISMATCH_TOL * scale:
         raise ValueError("start state disagrees with the last coarse history entry")
-
-    m = grids.m
-    alpha = problem.alpha
-    wt = weights_for(alpha)
-    rows = wt.fine_rows(m)
-    contrib = _coarse_contribution(wt, hist, n, m, alpha)
-    gam = grids.dt**alpha * gamma_2_minus(alpha)
-    eye = _eye(op.interior_size)
-    base_t = n * grids.dT
-
-    path = np.empty((m + 1, op.interior_size))
-    path[0] = start
-    for r in range(1, m + 1):
-        t_prev = base_t + (r - 1) * grids.dt
-        u_prev = path[r - 1]
-        a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
-        rhs = (
-            np.einsum("j,js->s", rows[r - 1], path[:r])
-            + gam * _source_values(problem, op, u_prev, t_prev)
-            + contrib[r - 1]
-        )
-        path[r] = _lu_solve_checked(eye - gam * a_mat, rhs, (n, r))
-    return path[m].copy(), path[1:].copy()
+    path = _march(start, hist, n, op, grids, problem, _lu_solve_checked)
+    return path[-1].copy(), path[1:].copy()
 
 
 def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     """Fine endpoints for the intervals ``n_lo..n_hi-1``, marched together.
 
-    Per-interval arithmetic matches :func:`fine_propagate`; the intervals
-    are independent, so stacking them only batches the per-substep dense
-    solves.  Results do not depend on how intervals are grouped, which
-    keeps the parallel driver deterministic for any thread count.
+    The same interval march as :func:`fine_propagate`, on a stack of
+    intervals with one stacked solve per substep.  Results and reported
+    failures do not depend on how intervals are grouped, which keeps the
+    parallel driver deterministic for any thread count.
     """
     U = np.asarray(u_nodes)
-    bs = n_hi - n_lo
-    if bs < 1 or n_hi > U.shape[0] - 1:
+    if n_hi - n_lo < 1 or n_hi > U.shape[0] - 1:
         raise ValueError("interval range outside the supplied coarse states")
-    m = grids.m
-    ni = op.interior_size
-    npts = op.degree + 1
-    alpha = problem.alpha
-    wt = weights_for(alpha)
-    rows = wt.fine_rows(m)
-    gam = grids.dt**alpha * gamma_2_minus(alpha)
-
-    contrib = np.empty((bs, m, ni))
-    for idx, n in enumerate(range(n_lo, n_hi)):
-        contrib[idx] = _coarse_contribution(wt, U[: n + 1], n, m, alpha)
-
-    paths = np.empty((bs, m + 1, ni))
-    paths[:, 0] = U[n_lo:n_hi]
-    eye = _eye(ni)
-    tn = np.arange(n_lo, n_hi) * grids.dT
-    full = np.zeros((bs, npts))
-    for r in range(1, m + 1):
-        t_prev = tn + (r - 1) * grids.dt
-        u_prev = paths[:, r - 1]
-        full[:, 1:-1] = u_prev
-        dv = np.asarray(problem.diffusion(op.nodes[None, :], t_prev[:, None], full),
-                        dtype=float)
-        dv = np.broadcast_to(dv, (bs, npts))
-        if not np.isfinite(dv).all():
-            bad = int(np.flatnonzero(~np.isfinite(dv))[0] % npts)
-            raise CoefficientError(bad, "diffusion coefficient is not finite")
-        a_int = ((op.d1 * dv[:, None, :]) @ op.d1)[:, 1:-1, 1:-1]
-        f_vec = np.broadcast_to(
-            np.asarray(problem.source(op.interior_nodes[None, :], t_prev[:, None], u_prev),
-                       dtype=float),
-            (bs, ni),
-        )
-        rhs = np.einsum("j,bjs->bs", rows[r - 1], paths[:, :r]) + gam * f_vec + contrib[:, r - 1]
-        system = eye - gam * a_int
-        try:
-            sol = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure((n_lo, r), f"fine-sweep solve failed: {exc}") from exc
-        if not np.isfinite(sol).all():
-            raise SolverFailure((n_lo, r), "non-finite solution in fine sweep")
-        paths[:, r] = sol
-    return paths[:, m].copy()
+    paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
+    return paths[:, -1].copy()
 
 
 def chain_fine(problem, op, grids):
@@ -266,23 +265,18 @@ def run_fine_sequential(problem, op, grids):
     """
     t0 = time.perf_counter()
     total = grids.total_fine
-    ni = op.interior_size
     alpha = problem.alpha
     b = weights_for(alpha).on_grid(1, total + 1)
     dflip = np.ascontiguousarray((b[:-1] - b[1:])[::-1])
     gam = grids.dt**alpha * gamma_2_minus(alpha)
-    eye = _eye(ni)
 
-    hist = np.empty((total + 1, ni))
+    hist = np.empty((total + 1, op.interior_size))
     hist[0] = initial_state(problem, op)
     for jj in range(1, total + 1):
-        t_prev = (jj - 1) * grids.dt
-        u_prev = hist[jj - 1]
-        a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
-        rhs_hist = b[jj - 1] * hist[0]
+        history = b[jj - 1] * hist[0]
         if jj >= 2:
-            rhs_hist = rhs_hist + dflip[total - jj + 1 :] @ hist[1:jj]
-        rhs = rhs_hist + gam * _source_values(problem, op, u_prev, t_prev)
-        hist[jj] = _lu_solve_checked(eye - gam * a_mat, rhs, jj - 1)
+            history = history + dflip[total - jj + 1 :] @ hist[1:jj]
+        hist[jj] = _step(op, problem, hist[jj - 1], (jj - 1) * grids.dt, gam, history,
+                         None, _lu_solve_checked, jj - 1)
     states = hist[:: grids.m].copy()
     return states, time.perf_counter() - t0

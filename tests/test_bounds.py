@@ -209,6 +209,12 @@ class TestIterationErrorBound:
         same = iteration_error_bound(self.CONSTS, 6, 6, fine_err=1e-3, coarse_err=0.0)
         assert val == same
 
+    def test_coarse_term_skipped_where_its_power_overflows(self):
+        # b**k overflows, but from k = n on the coarse term is exactly zero
+        consts = LipschitzConstants(c_coarse=1.0, c_fine=1e10)
+        got = iteration_error_bound(consts, 2, 40, fine_err=1.0, coarse_err=1.0)
+        assert got == consts.a * (2.0 + consts.b)  # c = 1: (n + b) (1 + b)^(n-2)
+
     def test_k_zero_reduces_to_coarse_decay(self):
         c = self.CONSTS.c
         got = iteration_error_bound(self.CONSTS, 7, 0, fine_err=123.0, coarse_err=2.0)

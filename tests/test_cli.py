@@ -195,14 +195,22 @@ class TestDeterministicOutput:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_entry_point_installed(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import parafrac
+
+        # the child imports the same package as this process, also when the
+        # source tree is on the path only through the pytest configuration
+        src = str(Path(parafrac.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         out = tmp_path / "cli.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "parafrac.cli", "solve", "--problem", "zero",
              "--nt", "2", "--m", "1", "--n", "4", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -7,6 +7,8 @@ import pytest
 
 from parafrac import (
     DivergenceError,
+    ParafracError,
+    SolverFailure,
     TimeGrids,
     chain_fine,
     exactness_check,
@@ -16,6 +18,7 @@ from parafrac import (
     run_coarse,
     run_fine_sequential,
 )
+from parafrac.l1 import gamma_2_minus
 from parafrac.parareal import _block_bounds, _solve
 from parafrac.spectral import l2_norm
 
@@ -145,6 +148,49 @@ class TestDivergenceGuard:
         grids = TimeGrids(1.0, 12, 2)
         with pytest.raises(DivergenceError):
             parareal_solve(prob, op16, grids, tol=1e-10, k_max=8, threads=1)
+
+
+class TestFailureLocation:
+    def test_fine_sweep_names_failing_interval_for_any_thread_count(self, op8):
+        # the source is NaN strictly inside interval 5, so the first bad
+        # substep is (5, 2) whichever block the interval lands in
+        def source(x, t, u):
+            return np.where((t > 5 / 8) & (t < 6 / 8), np.nan, 0.0) + 0.0 * u
+
+        prob = make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        grids = TimeGrids(1.0, 8, 4)
+        with pytest.raises(SolverFailure) as err:
+            chain_fine(prob, op8, grids)
+        assert err.value.step == (5, 2)
+        for threads in (1, 2, 3, grids.nt):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == (5, 2), threads
+
+
+class TestNearSingularFineSystem:
+    def test_guards_on_every_path(self, op8):
+        # constant D = 1/(gamma_fine mu_1) makes I - gamma_fine D d2 singular
+        # up to rounding, while the coarse system (larger gamma) stays regular
+        grids = TimeGrids(1.0, 4, 4)
+        eig = np.linalg.eigvals(op8.d2[1:-1, 1:-1])
+        mu1 = eig[np.argmin(np.abs(eig))].real
+        diff = 1.0 / (grids.dt**0.5 * gamma_2_minus(0.5) * mu1)
+        prob = make_problem(lambda x, t, u: diff, lambda x, t, u: 0.0,
+                            lambda x: np.sin(np.pi * np.asarray(x)), alpha=0.5)
+        coarse = run_coarse(prob, op8, grids)
+        assert np.isfinite(coarse).all()
+        with pytest.raises(SolverFailure) as err:
+            fine_propagate(coarse[0], coarse[:1], op8, grids, prob)
+        assert err.value.step == (0, 1)
+        with pytest.raises(SolverFailure) as err:
+            run_fine_sequential(prob, op8, grids)
+        assert err.value.step == 0
+        # the stacked solve of the parallel stage has no pivot check; the
+        # failure surfaces later, through the divergence guard
+        with pytest.raises(ParafracError):
+            parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=1)
 
 
 class TestConvergenceToFixedPoint:

@@ -20,7 +20,7 @@ from parafrac import (
 from parafrac.errors import SolverFailure
 from parafrac.l1 import gamma_2_minus
 from parafrac.spectral import l2_norm
-from parafrac.stepping import _lu_solve_checked, fine_sweep_intervals
+from parafrac.stepping import _lu_solve_checked, _stacked_solve, fine_sweep_intervals
 
 from conftest import constant_initial_factory, make_problem
 from test_spectral import closed_form_d1
@@ -266,6 +266,12 @@ class TestSolverGuards:
             with pytest.raises(SolverFailure) as err:
                 _lu_solve_checked(singular, np.ones(3), step=5)
         assert err.value.step == 5
+
+    def test_stacked_solve_names_singular_system(self):
+        systems = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
+        with pytest.raises(SolverFailure) as err:
+            _stacked_solve(systems, np.ones((3, 3)), (range(4, 7), 2))
+        assert err.value.step == (5, 2)
 
     def test_chain_fine_matches_manual_chaining(self, op8, paper42):
         grids = TimeGrids(1.0, 4, 2)
