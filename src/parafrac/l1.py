@@ -151,19 +151,21 @@ class FractionalWeights:
         """
         rows = self._rows.get(m)
         if rows is None:
-            b = self.on_grid(1, m + 1)
-            built = []
-            for r in range(1, m + 1):
-                w = np.empty(r)
-                w[0] = b[r - 1]
-                if r > 1:
-                    j = np.arange(1, r)
-                    w[1:] = b[r - j - 1] - b[r - j]
+            b = self.on_grid(1, m)
+            rows = tuple(_telescoped(b, r) for r in range(m))
+            for w in rows:
                 w.setflags(write=False)
-                built.append(w)
-            rows = tuple(built)
             self._rows[m] = rows
         return rows
+
+
+def _telescoped(b, n):
+    """L1 history weights ``[b_n, b_{n-1} - b_n, ..., b_0 - b_1]`` of nodes ``0..n``."""
+    w = np.empty(n + 1)
+    w[0] = b[n]
+    if n:
+        w[1:] = b[n - 1 :: -1] - b[n:0:-1]
+    return w
 
 
 @lru_cache(maxsize=16)
@@ -187,9 +189,7 @@ def discrete_caputo_coarse(history, dT, alpha):
     _check_alpha(alpha)
     n = h.shape[0] - 2
     b = weights_for(alpha).on_grid(1, n + 2)
-    terms = [-b[n] * h[0]]
-    terms.extend(-(b[n - i] - b[n - i + 1]) * h[i] for i in range(1, n + 1))
-    terms.append(h[n + 1])
+    terms = [*(-_telescoped(b, n) * h[: n + 1]), h[n + 1]]
     return math.fsum(terms) / dT ** alpha / gamma_2_minus(alpha)
 
 
@@ -220,20 +220,14 @@ def discrete_caputo_hybrid(coarse_history, fine_values, grids, alpha):
 
     wt = weights_for(alpha)
     bi = wt.on_grid(1, r + 1)
-    terms = [-bi[r - 1] * fv[0]]
-    terms.extend(-(bi[r - j - 1] - bi[r - j]) * fv[j] for j in range(1, r))
-    terms.append(fv[r])
+    terms = [*(-_telescoped(bi, r - 1) * fv[:r]), fv[r]]
     fine_part = math.fsum(terms) / grids.dt ** alpha
 
     coarse_part = 0.0
     if n >= 1:
         bq = wt.on_grid(m, n * m + 1)
-        ct = [-bq[(n - 1) * m + r] * ch[0]]
-        ct.extend(
-            -(bq[(n - i - 1) * m + r] - bq[(n - i) * m + r]) * ch[i]
-            for i in range(1, n)
-        )
-        ct.append(bq[r] * ch[n])
+        # bq[r::m][k] = b_{k + r/m}, telescoped like the plain weights
+        ct = [*(-_telescoped(bq[r::m], n - 1) * ch[:n]), bq[r] * ch[n]]
         coarse_part = math.fsum(ct) / grids.dT ** alpha
 
     return (coarse_part + fine_part) / gamma_2_minus(alpha)

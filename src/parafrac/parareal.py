@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ParafracError
 from .spectral import l2_norm
 from .stepping import chain_fine, coarse_step, fine_sweep_intervals, run_coarse
 
@@ -84,8 +84,11 @@ def _parallel_stage(u_nodes, g_old, f_old, op, grids, problem, threads):
         return
     with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [pool.submit(work, lo, hi) for lo, hi in bounds]
-        for fut in futures:
-            fut.result()
+    # which block fails first depends on the grouping; one block reports as 1 thread does
+    if any(isinstance(fut.exception(), ParafracError) for fut in futures):
+        work(0, grids.nt)
+    for fut in futures:
+        fut.result()
 
 
 def _solve(problem, op, grids, tol, k_max, threads, reference):
@@ -139,9 +142,9 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     iterate = PararealIterate(
         k=iterations,
         states=u_curr,
-        coarse_new=g_new.copy(),
-        coarse_old=g_old.copy(),
-        fine_endpoints=f_old.copy(),
+        coarse_new=g_new,
+        coarse_old=g_old,
+        fine_endpoints=f_old,
     )
     report = PararealReport(
         iterations=iterations,
@@ -169,6 +172,9 @@ def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference
         raise ValueError("k_max must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    want = (grids.nt + 1, op.interior_size)
+    if reference is not None and np.shape(reference) != want:
+        raise ValueError(f"reference has shape {np.shape(reference)}, expected {want}")
     return _solve(problem, op, grids, tol, int(k_max), int(threads), reference)
 
 

@@ -1,23 +1,24 @@
 """Semi-implicit L1 marching schemes.
 
-* :func:`coarse_step` / :func:`run_coarse` march on the coarse grid with
-  the full coarse history (the cheap sequential propagator).
+* :func:`run_coarse` and :func:`run_fine_sequential` are one full-history
+  march, :func:`_full_march`, at two step widths: ``dT`` over the coarse
+  nodes (the cheap sequential propagator) and ``dt`` over all fine nodes,
+  kept at every ``m``-th (the expensive reference).  :func:`coarse_step`
+  takes one step of that march on the history it is given.
 * :func:`fine_propagate` marches one coarse interval on the fine subgrid,
   compressing everything before the interval through the coarse history
-  with fractional-index weights (the parallelizable propagator).
-* :func:`run_fine_sequential` marches the whole horizon on the uniform
-  fine grid with the complete fine history (the expensive reference).
+  with fractional-index weights (the parallelizable propagator).  The same
+  interval march, :func:`_march`, serves :func:`fine_sweep_intervals` on a
+  stack of intervals.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
-one dense solve; each propagator only builds its history sum.  One interval
-march, :func:`_march`, serves :func:`fine_propagate` and, on a stack of
-intervals, :func:`fine_sweep_intervals`.  Two solves stay on purpose:
-scipy's LU with a small-pivot check for single systems, and numpy's stacked
-``linalg.solve`` for the sweep, which releases the GIL but hides its pivots.
-An exact check per stacked system made 1-thread parareal 1.3 to 7 times
-slower, and a solve picked by batch size would tie results to the thread
-count.
+one dense solve; each march only builds its history sum.  Two solves stay
+on purpose: scipy's LU with a small-pivot check for single systems, and
+numpy's stacked ``linalg.solve`` for the sweep, which releases the GIL but
+hides its pivots.  An exact check per stacked system made 1-thread
+parareal 1.3 to 7 times slower, and a solve picked by batch size would tie
+results to the thread count.
 
 States are vectors of interior collocation values; trajectories are arrays
 of shape ``(nodes, interior)``.
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolverFailure
-from .l1 import gamma_2_minus, weights_for
+from .l1 import _telescoped, gamma_2_minus, weights_for
 from .spectral import assemble_diffusion
 
 __all__ = [
@@ -96,13 +97,15 @@ def _stacked_solve(systems, rhs, step):
     return out
 
 
-def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
+def _step(op, problem, u_prev, t_prev, width, history, coupling, solve, step):
     """One semi-implicit step: solve ``(I - gam A) u = history + gam f + coupling``.
 
-    ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time, or
-    a stack of states and a column of times, with the matching ``solve``.
+    ``gam = width^alpha Gamma(2 - alpha)`` for a step of ``width``.  ``A`` and
+    ``f`` are frozen at ``(u_prev, t_prev)``: one state and time, or a stack
+    of states and a column of times, with the matching ``solve``.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding.
     """
+    gam = width**problem.alpha * gamma_2_minus(problem.alpha)
     a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
     f = np.asarray(problem.source(op.interior_nodes, t_prev, u_prev), dtype=float)
     rhs = history + gam * np.broadcast_to(f, u_prev.shape)
@@ -114,13 +117,27 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     return solve(system, rhs, step)
 
 
-def _history_weights(b, n):
-    """Telescoped weights multiplying the states at nodes ``0..n``."""
-    w = np.empty(n + 1)
-    w[0] = b[n]
-    if n > 0:
-        w[1:] = (b[:n] - b[1 : n + 1])[::-1]
-    return w
+def _full_step(states, n, b, tail, op, problem, width, step):
+    """State at node ``n + 1`` from nodes ``0..n``; history ``b_n U_0 + tail[-n:] @ U[1..n]``.
+
+    ``tail`` is ``_telescoped(b, N)[1:]`` for any ``N >= n``.
+    """
+    history = b[n] * states[0]
+    if n:
+        history += tail[-n:] @ states[1 : n + 1]
+    return _step(op, problem, states[n], n * width, width, history, None,
+                 _lu_solve_checked, step)
+
+
+def _full_march(problem, op, width, count):
+    """States at nodes ``0..count`` of the L1 march at step ``width``, full history."""
+    b = weights_for(problem.alpha).on_grid(1, count + 1)
+    tail = _telescoped(b, count)[1:]
+    states = np.empty((count + 1, op.interior_size))
+    states[0] = initial_state(problem, op)
+    for n in range(count):
+        states[n + 1] = _full_step(states, n, b, tail, op, problem, width, n)
+    return states
 
 
 def coarse_step(history, op, grids, problem, step_index=None):
@@ -139,20 +156,13 @@ def coarse_step(history, op, grids, problem, step_index=None):
     n = states.shape[0] - 1
     if step_index is None:
         step_index = n
-    alpha = problem.alpha
-    b = weights_for(alpha).on_grid(1, n + 2)
-    gam = grids.dT**alpha * gamma_2_minus(alpha)
-    return _step(op, problem, states[n], n * grids.dT, gam, _history_weights(b, n) @ states,
-                 None, _lu_solve_checked, step_index)
+    b = weights_for(problem.alpha).on_grid(1, n + 1)
+    return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT, step_index)
 
 
 def run_coarse(problem, op, grids):
     """Sequential coarse trajectory over all coarse nodes."""
-    traj = np.empty((grids.nt + 1, op.interior_size))
-    traj[0] = initial_state(problem, op)
-    for n in range(grids.nt):
-        traj[n + 1] = coarse_step(traj[: n + 1], op, grids, problem, step_index=n)
-    return traj
+    return _full_march(problem, op, grids.dT, grids.nt)
 
 
 def _coarse_contribution(wt, hist, n, m, alpha):
@@ -183,7 +193,6 @@ def _march(start, hist, n, op, grids, problem, solve):
     alpha = problem.alpha
     wt = weights_for(alpha)
     rows = wt.fine_rows(m)
-    gam = grids.dt**alpha * gamma_2_minus(alpha)
     if isinstance(n, range):
         base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
         coupling = np.stack([_coarse_contribution(wt, hist[: j + 1], j, m, alpha) for j in n])
@@ -196,7 +205,7 @@ def _march(start, hist, n, op, grids, problem, solve):
     for r in range(1, m + 1):
         history = np.einsum("j,...js->...s", rows[r - 1], paths[..., :r, :])
         paths[..., r, :] = _step(op, problem, paths[..., r - 1, :],
-                                 base_t + (r - 1) * grids.dt, gam, history,
+                                 base_t + (r - 1) * grids.dt, grids.dt, history,
                                  coupling[..., r - 1, :], solve, (n, r))
     return paths
 
@@ -231,9 +240,11 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     """Fine endpoints for the intervals ``n_lo..n_hi-1``, marched together.
 
     The same interval march as :func:`fine_propagate`, on a stack of
-    intervals with one stacked solve per substep.  Results and reported
-    failures do not depend on how intervals are grouped, which keeps the
-    parallel driver deterministic for any thread count.
+    intervals with one stacked solve per substep.  Results do not depend on
+    how intervals are grouped, which keeps the parallel driver deterministic
+    for any thread count.  A failure names the first failing interval at the
+    earliest failing substep of this group, so when several intervals fail
+    the report depends on the grouping.
     """
     U = np.asarray(u_nodes)
     if n_hi - n_lo < 1 or n_hi > U.shape[0] - 1:
@@ -264,19 +275,5 @@ def run_fine_sequential(problem, op, grids):
     which is exactly the quadratic-in-steps cost the parallel scheme avoids.
     """
     t0 = time.perf_counter()
-    total = grids.total_fine
-    alpha = problem.alpha
-    b = weights_for(alpha).on_grid(1, total + 1)
-    dflip = np.ascontiguousarray((b[:-1] - b[1:])[::-1])
-    gam = grids.dt**alpha * gamma_2_minus(alpha)
-
-    hist = np.empty((total + 1, op.interior_size))
-    hist[0] = initial_state(problem, op)
-    for jj in range(1, total + 1):
-        history = b[jj - 1] * hist[0]
-        if jj >= 2:
-            history = history + dflip[total - jj + 1 :] @ hist[1:jj]
-        hist[jj] = _step(op, problem, hist[jj - 1], (jj - 1) * grids.dt, gam, history,
-                         None, _lu_solve_checked, jj - 1)
-    states = hist[:: grids.m].copy()
+    states = _full_march(problem, op, grids.dt, grids.total_fine)[:: grids.m].copy()
     return states, time.perf_counter() - t0

@@ -118,6 +118,18 @@ class TestReport:
         assert report.errors_vs_reference[0] > report.errors_vs_reference[-1]
         assert seconds > 0.0
 
+    def test_reference_shape_checked_before_coarse_sweep(self, op8, paper42, monkeypatch):
+        # a reference from another grid must not yield errors silently
+        reference, _ = run_fine_sequential(paper42, op8, TimeGrids(1.0, 8, 2))
+
+        def no_coarse_sweep(*args):
+            raise AssertionError("coarse sweep ran before the reference was checked")
+
+        monkeypatch.setattr("parafrac.parareal.run_coarse", no_coarse_sweep)
+        for bad in (reference, reference[:5, :-1], reference[:5, 0]):
+            with pytest.raises(ValueError, match="reference has shape"):
+                parareal_solve(paper42, op8, TimeGrids(1.0, 4, 2), reference=bad)
+
     def test_validation(self, op16, paper42):
         grids = TimeGrids(1.0, 4, 2)
         with pytest.raises(ValueError):
@@ -167,6 +179,21 @@ class TestFailureLocation:
             with pytest.raises(SolverFailure) as err:
                 parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
             assert err.value.step == (5, 2), threads
+
+    def test_two_failing_intervals_reported_alike_for_any_thread_count(self, op8):
+        # interval 2 fails from substep 4 and interval 6 from substep 2; the
+        # earliest substep wins, as in one block, whichever block fails first
+        def source(x, t, u):
+            bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
+            return np.where(bad, np.nan, 0.0) + 0.0 * u
+
+        prob = make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        grids = TimeGrids(1.0, 8, 4)
+        for threads in (1, 2, 3, grids.nt):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == (6, 2), threads
 
 
 class TestNearSingularFineSystem:

@@ -112,6 +112,13 @@ class TestRunCoarse:
         grids = TimeGrids(1.0, 16, 1)
         assert np.array_equal(run_coarse(paper42, op8, grids), run_coarse(paper42, op8, grids))
 
+    def test_coarse_step_repeats_every_node(self, op8, paper42):
+        # one step of the march on its own history gives the march's next node
+        grids = TimeGrids(1.0, 16, 1)
+        traj = run_coarse(paper42, op8, grids)
+        for n in range(grids.nt):
+            assert np.array_equal(coarse_step(traj[: n + 1], op8, grids, paper42), traj[n + 1]), n
+
 
 class TestFinePropagate:
     def test_m1_collapse_full_trajectory(self, op8, paper42):
@@ -180,7 +187,7 @@ class TestRunFineSequential:
         grids = TimeGrids(1.0, 16, 1)
         states, _ = run_fine_sequential(paper42, op8, grids)
         coarse = run_coarse(paper42, op8, grids)
-        assert np.abs(states - coarse).max() <= 1e-13
+        assert np.array_equal(states, coarse)
 
     def test_zero_data(self, op8):
         prob = make_problem(lambda x, t, u: 1.0 + u, lambda x, t, u: 0.0,
