@@ -4,7 +4,10 @@ Subcommands: ``solve`` (trajectory CSV), ``parareal`` (per-iteration CSV),
 ``bench`` (runtime/speedup/allocation CSV over a dof sweep), ``bounds``
 (binomial sums and their estimates), ``truncation`` (hybrid-operator error
 study).  A ``key = value`` config file can preset everything; explicit
-flags override it.  Diagnostics go to stderr, CSV to the output path.
+flags override it, and each value is parsed to the type of the
+:class:`RunConfig` field it sets.  Each command returns its CSV header and
+rows; :func:`main` writes them to ``--out`` (default ``<command>.csv``).
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import configparser
 import dataclasses
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 from .bounds import BoundParams, double_sum_bound, double_sum_exact, single_sum_bound, single_sum_exact
@@ -74,27 +78,36 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
+def _value_type(hint):
+    """The type a config value is parsed to: ``float | None`` gives ``(float, True)``."""
+    kinds = [k for k in typing.get_args(hint) if k is not type(None)]
+    return (kinds[0], True) if kinds else (hint, False)
+
+
+# field name -> (value type, whether the field may be None)
+_FIELD_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _int_tuple(text):
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_value(name, text):
     text = text.strip()
-    if name == "sweep":
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    kind, optional = _FIELD_TYPES[name]
+    if kind is tuple:
+        return _int_tuple(text)
     if text == "":
+        if not optional:
+            raise ValueError(f"config key {name!r} needs a value")
         return None
-    if name == "reference":
-        return text.lower() in ("1", "true", "yes", "on")
-    default = _FIELD_TYPES[name].default
-    if name in ("alpha", "t_final", "tol", "bound_a", "bound_b", "bound_c"):
-        return float(text)
-    if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) or name in ("threads",):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+    if kind is bool:
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(f"config key {name!r} is not a boolean: {text!r}")
+        return _BOOL_WORDS[text.lower()]
+    return kind(text)
 
 
 def parse_config_text(text):
@@ -122,7 +135,7 @@ def emit_config(cfg):
         value = getattr(cfg, f.name)
         if value is None:
             rendered = ""
-        elif f.name == "sweep":
+        elif isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
             rendered = "true" if value else "false"
@@ -142,25 +155,15 @@ def _config_from_sources(args):
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = tuple(value) if name == "sweep" else value
+            overrides[name] = value
     return RunConfig(**overrides).validate()
-
-
-def _float_cell(x):
-    return f"{x:.16e}"
 
 
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for item in row:
-                if isinstance(item, float):
-                    cells.append(_float_cell(item))
-                else:
-                    cells.append(str(item))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(f"{x:.16e}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _effective_threads(cfg):
@@ -184,23 +187,16 @@ def cmd_solve(cfg):
         (n, n * grids.dT, l2_norm(op, states[n]), float(states[n].min()), float(states[n].max()))
         for n in range(grids.nt + 1)
     ]
-    out = cfg.out or "solve.csv"
-    _write_csv(out, ("n", "t", "l2_norm", "min", "max"), rows)
-    print(f"wrote {out} ({len(rows)} rows)", file=sys.stderr)
-    return 0
+    return ("n", "t", "l2_norm", "min", "max"), rows
 
 
 def cmd_parareal(cfg):
     problem, op, grids = _setup(cfg)
     threads = _effective_threads(cfg)
-    reference = None
-    reference_time = None
-    if cfg.reference:
-        reference, reference_time = run_fine_sequential(problem, op, grids)
+    reference = run_fine_sequential(problem, op, grids)[0] if cfg.reference else None
     _, report = parareal_solve(
         problem, op, grids, tol=cfg.tol, k_max=cfg.kmax, threads=threads, reference=reference
     )
-    report.wall_time_reference = reference_time
     header = ["k", "max_diff"]
     if cfg.reference:
         header.append("err_vs_fine")
@@ -212,15 +208,13 @@ def cmd_parareal(cfg):
             row.append(report.errors_vs_reference[k])
         row.append(report.iteration_times[k - 1])
         rows.append(tuple(row))
-    out = cfg.out or "parareal.csv"
-    _write_csv(out, header, rows)
     fired = "tolerance" if report.stop_reason == "tol" else "iteration limit"
     print(
         f"stopped by {fired} after {report.iterations} iterations "
-        f"(last diff {report.diffs[-1]:.3e}); wrote {out}",
+        f"(last diff {report.diffs[-1]:.3e})",
         file=sys.stderr,
     )
-    return 0
+    return header, rows
 
 
 def cmd_bench(cfg):
@@ -243,49 +237,25 @@ def cmd_bench(cfg):
         "wall_time_fine", "wall_time_parareal", "speedup", "iterations_used",
         "final_diff", "peak_alloc_bytes_fine_approx", "peak_alloc_bytes_parareal_approx",
     )
-    rows = [
-        (
-            r.dof, r.nt, r.m, r.degree, r.threads,
-            r.wall_fine, r.wall_parareal, r.speedup, r.iterations,
-            r.final_diff, r.peak_alloc_fine, r.peak_alloc_parareal,
-        )
-        for r in records
-    ]
-    out = cfg.out or "bench.csv"
-    _write_csv(out, header, rows)
-    print(f"wrote {out} ({len(rows)} sweep points)", file=sys.stderr)
-    return 0
+    return header, [dataclasses.astuple(r) for r in records]
 
 
 def cmd_bounds(cfg):
+    sums = (double_sum_exact, double_sum_bound, single_sum_exact, single_sum_bound)
     rows = []
     for k in range(cfg.bound_n + 1):
         params = BoundParams(a=cfg.bound_a, b=cfg.bound_b, c=cfg.bound_c, n=cfg.bound_n, k=k)
-        rows.append(
-            (
-                k,
-                double_sum_exact(params),
-                double_sum_bound(params),
-                single_sum_exact(params),
-                single_sum_bound(params),
-            )
-        )
-    out = cfg.out or "bounds.csv"
-    _write_csv(out, ("k", "double_sum", "double_bound", "single_sum", "single_bound"), rows)
-    print(f"wrote {out} (k = 0..{cfg.bound_n})", file=sys.stderr)
-    return 0
+        rows.append((k, *(fn(params) for fn in sums)))
+    return ("k", "double_sum", "double_bound", "single_sum", "single_bound"), rows
 
 
 def cmd_truncation(cfg):
     alpha = cfg.alpha if cfg.alpha is not None else 0.5
     nt_list = cfg.sweep or (8, 16, 32, 64)
     study = truncation_study(alpha, cfg.m, nt_list, function=cfg.function)
-    out = cfg.out or "truncation.csv"
-    _write_csv(out, ("nt", "dt", "region", "n", "r", "t", "abs_error"), study.rows)
     for region in ("n0", "n1", "n2plus"):
         print(f"fitted order {region}: {study.orders[region]:.4f}", file=sys.stderr)
-    print(f"wrote {out} ({len(study.rows)} rows)", file=sys.stderr)
-    return 0
+    return ("nt", "dt", "region", "n", "r", "t", "abs_error"), study.rows
 
 
 _COMMANDS = {
@@ -350,7 +320,7 @@ def build_parser():
 
 def _sweep_list(text):
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return _int_tuple(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
 
@@ -363,7 +333,11 @@ def main(argv=None):
             f"parafrac {args.command}: problem={cfg.problem} threads={_effective_threads(cfg)}",
             file=sys.stderr,
         )
-        return _COMMANDS[args.command](cfg)
+        header, rows = _COMMANDS[args.command](cfg)
+        out = cfg.out or f"{args.command}.csv"
+        _write_csv(out, header, rows)
+        print(f"wrote {out} ({len(rows)} rows)", file=sys.stderr)
+        return 0
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,11 @@ def fit_loglog(x, y):
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark point; allocation figures are tracemalloc peaks (approximate)."""
+    """One benchmark point; allocation figures are tracemalloc peaks (approximate).
+
+    The field order is the column order of the ``parafrac bench`` CSV, which
+    writes each record as ``dataclasses.astuple(record)``.
+    """
 
     dof: int
     nt: int

@@ -74,6 +74,9 @@ class TimeGrids:
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError(f"final time must be positive, got {self.t_final}")
+        counts = (self.nt, self.m)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise ValueError(f"grid counts nt and m must be integers, got {counts}")
         if self.nt < 1 or self.m < 1:
             raise ValueError("grid counts nt and m must be positive integers")
 

@@ -140,6 +140,16 @@ def _full_march(problem, op, width, count):
     return states
 
 
+def _history_stack(history, op, name):
+    """``history`` as float states of shape ``(nodes, interior)``; one state is one node."""
+    states = np.asarray(history, dtype=float)
+    if states.ndim == 1:
+        states = states[None, :]
+    if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != op.interior_size:
+        raise ValueError(f"{name} must be a nonempty stack of interior-node states")
+    return states
+
+
 def coarse_step(history, op, grids, problem, step_index=None):
     """One semi-implicit L1 step on the coarse grid.
 
@@ -148,11 +158,7 @@ def coarse_step(history, op, grids, problem, step_index=None):
     frozen at ``(U_n, T_n)``, so the quasilinear problem costs one dense
     solve per step.
     """
-    states = np.asarray(history, dtype=float)
-    if states.ndim == 1:
-        states = states[None, :]
-    if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != op.interior_size:
-        raise ValueError("history must be a nonempty stack of interior-node states")
+    states = _history_stack(history, op, "history")
     n = states.shape[0] - 1
     if step_index is None:
         step_index = n
@@ -222,12 +228,10 @@ def fine_propagate(start, coarse_history, op, grids, problem):
     each substep, which is what makes intervals independent of each other
     and safe to propagate concurrently.
     """
-    hist = np.asarray(coarse_history, dtype=float)
-    if hist.ndim == 1:
-        hist = hist[None, :]
+    hist = _history_stack(coarse_history, op, "coarse_history")
     start = np.asarray(start, dtype=float)
-    if hist.shape[1] != op.interior_size or start.shape != (op.interior_size,):
-        raise ValueError("states must be vectors of interior-node values")
+    if start.shape != (op.interior_size,):
+        raise ValueError("start must be a vector of interior-node values")
     n = hist.shape[0] - 1
     scale = max(1.0, float(np.abs(start).max()))
     if float(np.abs(hist[n] - start).max()) > START_MISMATCH_TOL * scale:
@@ -247,8 +251,10 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     the report depends on the grouping.
     """
     U = np.asarray(u_nodes)
-    if n_hi - n_lo < 1 or n_hi > U.shape[0] - 1:
-        raise ValueError("interval range outside the supplied coarse states")
+    if U.ndim != 2 or U.shape[1] != op.interior_size:
+        raise ValueError("u_nodes must be a stack of interior-node states")
+    if not 0 <= n_lo < n_hi < U.shape[0]:
+        raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
     paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
     return paths[:, -1].copy()
 

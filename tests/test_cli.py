@@ -1,10 +1,12 @@
 """CLI contract: config round trip, CSV outputs, exit codes."""
 
 import csv
+import dataclasses
 
 import pytest
 
 from parafrac.cli import RunConfig, emit_config, main, parse_config_text
+from parafrac.harness import bench_point
 
 
 def read_csv(path):
@@ -25,6 +27,32 @@ class TestConfig:
                         tol=1e-8, kmax=5, threads=3, out="x.csv", sweep=(64, 128),
                         reference=True, solver="coarse", reps=2, function="root")
         assert RunConfig(**parse_config_text(emit_config(cfg))) == cfg
+
+    def test_round_trip_every_field(self):
+        cfg = RunConfig(problem="linear-heat", alpha=0.7, t_final=2.5, nt=16, m=8, degree=12,
+                        tol=1e-8, kmax=5, threads=3, out="x.csv", sweep=(64, 128),
+                        reference=True, solver="coarse", reps=2, function="root",
+                        bound_a=0.5, bound_b=1.3, bound_c=1.02, bound_n=7)
+        fields = dataclasses.fields(RunConfig)
+        assert len(fields) == 19
+        assert all(getattr(cfg, f.name) != f.default for f in fields)
+        assert RunConfig(**parse_config_text(emit_config(cfg))) == cfg
+
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("true", True), ("YES", True), ("On", True),
+        ("0", False), ("False", False), ("no", False), ("OFF", False),
+    ])
+    def test_boolean_spellings(self, word, value):
+        assert parse_config_text(f"[run]\nreference = {word}\n") == {"reference": value}
+
+    def test_other_boolean_rejected(self):
+        with pytest.raises(ValueError, match="reference"):
+            parse_config_text("[run]\nreference = maybe\n")
+
+    def test_empty_required_value_rejected(self):
+        with pytest.raises(ValueError, match="nt"):
+            parse_config_text("[run]\nnt =\n")
+        assert parse_config_text("[run]\nalpha =\n") == {"alpha": None}
 
     def test_emit_is_idempotent(self):
         cfg = RunConfig(alpha=0.3, sweep=(32,))
@@ -47,6 +75,33 @@ class TestConfig:
             RunConfig(tol=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(solver="magic").validate()
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("line", ["reference = maybe", "tol ="])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[run]\n{line}\n")
+        code = main(["parareal", "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestDefaultOutput:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4"],
+        ["parareal", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4"],
+        ["bench", "--problem", "zero", "--n", "4", "--m", "2", "--sweep", "4",
+         "--reps", "1", "--threads", "1"],
+        ["bounds", "--n", "2"],
+        ["truncation", "--m", "2", "--sweep", "4,8", "--function", "const"],
+    ])
+    def test_writes_command_csv(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        path = tmp_path / f"{argv[0]}.csv"
+        _, rows = read_csv(path)
+        assert f"wrote {argv[0]}.csv ({len(rows)} rows)" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -126,6 +181,21 @@ class TestBenchCommand:
         assert "peak_alloc_bytes_fine_approx" in header
         assert len(rows) == 2
         assert all(float(row[7]) > 0.0 for row in rows)  # speedup column
+
+
+    def test_integer_columns_match_bench_point(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--problem", "paper42", "--n", "8", "--m", "4",
+                     "--sweep", "18,40", "--reps", "1", "--threads", "1",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        columns = ("dof", "nt", "m", "degree", "threads", "iterations_used")
+        fields = ("dof", "nt", "m", "degree", "threads", "iterations")
+        for dof, row in zip((18, 40), rows):
+            rec = bench_point("paper42", dof, degree=8, m=4, threads=1, reps=1, warmup=0,
+                              measure_memory=False)
+            got = [int(row[header.index(c)]) for c in columns]
+            assert got == [getattr(rec, f) for f in fields]
 
 
 class TestBoundsCommand:

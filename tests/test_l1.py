@@ -223,3 +223,14 @@ class TestAnalyticOracle:
     def test_gamma_route(self):
         assert gamma_2_minus(1.0) == 1.0
         assert gamma_2_minus(0.5) == pytest.approx(math.gamma(1.5), rel=1e-15)
+
+
+class TestTimeGrids:
+    @pytest.mark.parametrize("nt, m", [(2.5, 4), (4.0, 2), (4, 2.0), (True, 2), ("4", 2)])
+    def test_non_integer_counts_rejected(self, nt, m):
+        with pytest.raises(ValueError, match="integers"):
+            TimeGrids(1.0, nt, m)
+
+    def test_numpy_integer_counts_accepted(self):
+        grids = TimeGrids(1.0, np.int64(4), np.int32(2))
+        assert grids.total_fine == 8 and grids.dt == 0.125

@@ -89,6 +89,29 @@ class TestCoarseStep:
             coarse_step(np.empty((0, 7)), op8, TimeGrids(1.0, 4, 1), paper42)
 
 
+class TestFineInputChecks:
+    """Bad inputs to the fine entry points are named before any marching."""
+
+    def test_propagate_rejects_empty_history(self, op8, paper42):
+        u0 = initial_state(paper42, op8)
+        with pytest.raises(ValueError, match="coarse_history"):
+            fine_propagate(u0, np.empty((0, 7)), op8, TimeGrids(1.0, 4, 2), paper42)
+
+    def test_sweep_rejects_single_state(self, op8, paper42):
+        with pytest.raises(ValueError, match="u_nodes"):
+            fine_sweep_intervals(initial_state(paper42, op8), 0, 1, op8,
+                                 TimeGrids(1.0, 4, 2), paper42)
+
+    def test_sweep_rejects_wrong_width(self, op8, paper42):
+        with pytest.raises(ValueError, match="u_nodes"):
+            fine_sweep_intervals(np.zeros((5, 6)), 0, 2, op8, TimeGrids(1.0, 4, 2), paper42)
+
+    def test_sweep_rejects_negative_start(self, op8, paper42):
+        grids = TimeGrids(1.0, 4, 2)
+        with pytest.raises(ValueError, match="outside the supplied coarse states"):
+            fine_sweep_intervals(run_coarse(paper42, op8, grids), -2, 2, op8, grids, paper42)
+
+
 class TestRunCoarse:
     def test_single_interval(self, op8, paper42):
         grids = TimeGrids(1.0, 1, 1)
