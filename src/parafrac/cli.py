@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError(f"unknown test function {self.function!r}")
         if any(d < 1 for d in self.sweep):
             raise ValueError("sweep entries must be positive integers")
+        if self.bound_n < 0:
+            raise ValueError("bounds table depth bound_n must be at least 0")
         return self
 
 
@@ -278,7 +280,9 @@ def _add_common(parser, *, grid=True):
         parser.add_argument("--n", type=int, dest="degree", help="spectral degree")
         parser.add_argument("--tol", type=float, help="parareal stopping tolerance")
         parser.add_argument("--kmax", type=int, help="parareal iteration cap")
-        parser.add_argument("--threads", type=int, help="parallel-stage threads")
+        parser.add_argument("--threads", type=int,
+                            help="parallel-stage processes: the caller plus threads-1 "
+                                 "forked workers")
 
 
 def build_parser():

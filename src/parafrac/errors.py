@@ -1,4 +1,8 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules.
+
+Each failure pickles with its location and message, so that a worker
+process of the parallel stage can send it back to the caller.
+"""
 
 
 class ParafracError(Exception):
@@ -15,6 +19,10 @@ class SolverFailure(ParafracError):
     def __init__(self, step, message):
         super().__init__(f"{message} (step {step})")
         self.step = step
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.step, self.message)
 
 
 class CoefficientError(ParafracError):
@@ -23,6 +31,10 @@ class CoefficientError(ParafracError):
     def __init__(self, node_index, message):
         super().__init__(f"{message} (node {node_index})")
         self.node_index = node_index
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.node_index, self.message)
 
 
 class DivergenceError(ParafracError):
@@ -32,3 +44,7 @@ class DivergenceError(ParafracError):
         super().__init__(f"{message} (iteration {iteration}, node {interval})")
         self.iteration = iteration
         self.interval = interval
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.iteration, self.interval, self.message)

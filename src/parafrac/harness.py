@@ -191,6 +191,7 @@ def truncation_study(alpha, m, nt_list, function="mixed", t_final=1.0):
     The probe interval is never below 2: for ``nt = 3`` it ends at
     ``t_final``, and for ``nt < 3`` there is none and the probe error is
     nan.  The near-origin regions are fitted at their per-level maxima.
+    A sweep with fewer than two distinct levels raises ``ValueError``.
     """
     try:
         y, dy = TRUNCATION_FUNCTIONS[function](alpha)
@@ -198,8 +199,8 @@ def truncation_study(alpha, m, nt_list, function="mixed", t_final=1.0):
         raise ValueError(
             f"unknown test function {function!r}; choices: {', '.join(sorted(TRUNCATION_FUNCTIONS))}"
         ) from None
-    if not nt_list:
-        raise ValueError("truncation sweep must not be empty")
+    if len(set(nt_list)) < 2:
+        raise ValueError("truncation sweep needs at least two distinct nt levels to fit an order")
 
     rows = []
     dts, max_n0, max_n1, probes = [], [], [], []

@@ -223,6 +223,18 @@ class TestBoundsCommand:
             assert float(row[2]) >= float(row[1]) - 1e-12
 
 
+class TestBadSweepOrDepth:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "-1"],
+        ["truncation", "--m", "2", "--sweep", "3"],
+    ])
+    def test_exits_2_without_csv(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTruncationCommand:
     def test_constant_family_zero_errors(self, tmp_path):
         out = tmp_path / "t.csv"

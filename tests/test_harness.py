@@ -36,8 +36,8 @@ class TestTruncationStudy:
         assert max(errs) <= 1e-12
 
     def test_row_layout(self):
-        study = truncation_study(0.5, 3, (4,), function="root")
-        assert len(study.rows) == 4 * 3
+        study = truncation_study(0.5, 3, (4, 8), function="root")
+        assert len(study.rows) == 4 * 3 + 8 * 3
         nt, dt, region, n, r, t, err = study.rows[0]
         assert (nt, n, r) == (4, 0, 1)
         assert region == "n0"
@@ -72,6 +72,11 @@ class TestTruncationStudy:
             truncation_study(0.5, 2, (4,), function="nope")
         with pytest.raises(ValueError):
             truncation_study(0.5, 2, (), function="root")
+
+    def test_sweep_too_short_to_fit_rejected(self):
+        for sweep in ((4,), (8, 8)):
+            with pytest.raises(ValueError, match="two distinct"):
+                truncation_study(0.5, 2, sweep, function="root")
 
     def test_registry_names(self):
         assert set(TRUNCATION_FUNCTIONS) == {"const", "linear", "root", "mixed"}

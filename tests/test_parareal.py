@@ -1,6 +1,6 @@
 """Driver behavior: correction identity, termination, determinism, guards."""
 
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -144,13 +144,64 @@ class TestDeterminism:
     def test_thread_count_invariance(self, op16, paper42):
         grids = TimeGrids(1.0, 32, 8)
         states = {}
-        for threads in (1, 2, os.cpu_count() or 2):
+        for threads in (1, 2, 3, 8):
             iterate, _ = parareal_solve(paper42, op16, grids, tol=1e-10, k_max=5,
                                         threads=threads)
             states[threads] = iterate.states
         baseline = states[1]
         for other in states.values():
-            assert np.abs(other - baseline).max() <= 1e-13
+            assert np.array_equal(other, baseline)
+
+
+class TestWorkerProcesses:
+    def test_block_seconds_per_iteration_and_block(self, op16, paper42):
+        grids = TimeGrids(1.0, 8, 4)
+        for threads in (1, 2, 3):
+            _, report = parareal_solve(paper42, op16, grids, tol=1e-10, k_max=4,
+                                       threads=threads)
+            blocks = len(_block_bounds(grids.nt, threads))
+            assert len(report.block_seconds) == report.iterations
+            assert all(len(times) == blocks for times in report.block_seconds)
+            assert all(t > 0.0 for times in report.block_seconds for t in times)
+
+    def test_one_thread_starts_no_process(self, op8, paper42, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for threads=1")
+
+        monkeypatch.setattr("parafrac.parareal.ProcessPoolExecutor", no_pool)
+        _, report = parareal_solve(paper42, op8, TimeGrids(1.0, 8, 2), k_max=3, threads=1)
+        assert report.iterations >= 1
+
+    def test_no_worker_left_after_return_or_failure(self, op8, paper42):
+        grids = TimeGrids(1.0, 8, 4)
+        parareal_solve(paper42, op8, grids, tol=1e-10, k_max=3, threads=2)
+        assert multiprocessing.active_children() == []
+
+        def source(x, t, u):
+            return np.where((t > 5 / 8) & (t < 6 / 8), np.nan, 0.0) + 0.0 * u
+
+        prob = make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        with pytest.raises(SolverFailure):
+            parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_closure_state_read_afresh_by_every_solve(self, op8):
+        # workers are started per solve, so a callback whose captured value
+        # changed since the last solve is never run from a stale copy
+        scale = [1.0]
+        prob = make_problem(lambda x, t, u: 1.0 + 0.1 * scale[0] * u,
+                            lambda x, t, u: scale[0] * np.sin(np.pi * np.asarray(x)),
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        grids = TimeGrids(1.0, 8, 4)
+        results = []
+        for value in (1.0, 3.0):
+            scale[0] = value
+            pair = [parareal_solve(prob, op8, grids, tol=1e-10, k_max=6, threads=threads)[0]
+                    for threads in (1, 2)]
+            assert np.array_equal(pair[0].states, pair[1].states)
+            results.append(pair[1].states)
+        assert not np.array_equal(results[0], results[1])
 
 
 class TestDivergenceGuard:
