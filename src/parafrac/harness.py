@@ -48,8 +48,11 @@ def fit_loglog(x, y):
 class BenchRecord:
     """One benchmark point; allocation figures are tracemalloc peaks (approximate).
 
-    The field order is the column order of the ``parafrac bench`` CSV, which
-    writes each record as ``dataclasses.astuple(record)``.
+    ``peak_alloc_parareal`` is always taken from a ``threads=1`` solve, so
+    it does not depend on ``threads``: tracemalloc cannot see the worker
+    processes of ``threads > 1``.  The field order is the column order of
+    the ``parafrac bench`` CSV, which writes each record as
+    ``dataclasses.astuple(record)``.
     """
 
     dof: int
@@ -104,13 +107,14 @@ def bench_point(problem_name, dof, *, alpha=None, degree=16, m=32, tol=1e-10,
     def fine():
         return run_fine_sequential(problem, op, grids)
 
-    def parallel():
+    def parallel(threads=threads):
         return parareal_solve(problem, op, grids, tol=tol, k_max=k_max, threads=threads)
 
     wall_fine, _ = _best_time(fine, reps, warmup)
     wall_para, (_, report) = _best_time(parallel, reps, warmup)
     peak_fine = _peak_alloc(fine) if measure_memory else 0
-    peak_para = _peak_alloc(parallel) if measure_memory else 0
+    # tracemalloc sees the caller alone, so the peak is that of a solve run all in it
+    peak_para = _peak_alloc(lambda: parallel(1)) if measure_memory else 0
     return BenchRecord(
         dof=nt * m_eff,
         nt=nt,

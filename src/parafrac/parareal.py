@@ -61,7 +61,8 @@ class PararealReport:
 
     ``block_seconds[k]`` holds the fine-sweep wall time of every block of
     iteration ``k``'s parallel stage, each measured in the process that
-    marched it.
+    marched it; ``correction_seconds[k]`` is the wall time of iteration
+    ``k``'s sequential correction sweep.
     """
 
     iterations: int
@@ -73,6 +74,7 @@ class PararealReport:
     errors_vs_reference: Optional[list] = None
     wall_time_reference: Optional[float] = None
     block_seconds: list = field(default_factory=list)
+    correction_seconds: list = field(default_factory=list)
 
 
 def _block_bounds(count, threads):
@@ -159,6 +161,7 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     diffs = []
     times = []
     block_seconds = []
+    correction_seconds = []
     errors = None
     if reference is not None:
         errors = [l2_norm(op, u_curr[nt] - reference[nt])]
@@ -174,11 +177,13 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
             block_seconds.append(
                 _parallel_stage(u_curr, g_old, f_old, op, grids, problem, bounds, pool))
 
+            sweep_t0 = time.perf_counter()
             u_next = np.empty_like(u_curr)
             u_next[0] = u_curr[0]
             for n in range(nt):
                 g_new[n] = coarse_step(u_next[: n + 1], op, grids, problem, step_index=n)
                 u_next[n + 1] = f_old[n] + (g_new[n] - g_old[n])
+            correction_seconds.append(time.perf_counter() - sweep_t0)
 
             if not np.isfinite(u_next).all():
                 bad = int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])
@@ -215,6 +220,7 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
         iteration_times=times,
         errors_vs_reference=errors,
         block_seconds=block_seconds,
+        correction_seconds=correction_seconds,
     )
     return iterate, report
 

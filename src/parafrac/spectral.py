@@ -121,7 +121,8 @@ def assemble_diffusion(op, state, t, problem):
     full = np.zeros(state.shape[:-1] + op.nodes.shape)
     full[..., 1:-1] = state
     dv = np.asarray(problem.diffusion(op.nodes, t, full), dtype=float)
-    dv = np.broadcast_to(dv, full.shape)
+    if dv.shape != full.shape:
+        dv = np.broadcast_to(dv, full.shape)
     if not np.isfinite(dv).all():
         bad = int(np.flatnonzero(~np.isfinite(dv))[0] % op.nodes.size)
         raise CoefficientError(bad, "diffusion coefficient is not finite")

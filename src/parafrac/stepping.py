@@ -9,7 +9,7 @@
   compressing everything before the interval through the coarse history
   with fractional-index weights (the parallelizable propagator).  The same
   interval march, :func:`_march`, serves :func:`fine_sweep_intervals` on a
-  stack of intervals.
+  stack of intervals, with paths stored substep-major (one row per substep).
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
@@ -97,18 +97,23 @@ def _stacked_solve(systems, rhs, step):
     return out
 
 
-def _step(op, problem, u_prev, t_prev, width, history, coupling, solve, step):
+def _gamma(problem, width):
+    """``gam = width^alpha Gamma(2 - alpha)``, the step factor of a step of ``width``."""
+    return width**problem.alpha * gamma_2_minus(problem.alpha)
+
+
+def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     """One semi-implicit step: solve ``(I - gam A) u = history + gam f + coupling``.
 
-    ``gam = width^alpha Gamma(2 - alpha)`` for a step of ``width``.  ``A`` and
-    ``f`` are frozen at ``(u_prev, t_prev)``: one state and time, or a stack
-    of states and a column of times, with the matching ``solve``.
+    ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time,
+    or a stack of states and a column of times, with the matching ``solve``.
+    ``history``, a fresh array, becomes the right-hand side in place.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding.
     """
-    gam = width**problem.alpha * gamma_2_minus(problem.alpha)
     a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
     f = np.asarray(problem.source(op.interior_nodes, t_prev, u_prev), dtype=float)
-    rhs = history + gam * np.broadcast_to(f, u_prev.shape)
+    rhs = history
+    rhs += gam * f
     if coupling is not None:
         rhs += coupling
     # the same bits as eye - gam * a_mat, with one temporary fewer
@@ -117,7 +122,7 @@ def _step(op, problem, u_prev, t_prev, width, history, coupling, solve, step):
     return solve(system, rhs, step)
 
 
-def _full_step(states, n, b, tail, op, problem, width, step):
+def _full_step(states, n, b, tail, op, problem, width, gam, step):
     """State at node ``n + 1`` from nodes ``0..n``; history ``b_n U_0 + tail[-n:] @ U[1..n]``.
 
     ``tail`` is ``_telescoped(b, N)[1:]`` for any ``N >= n``.
@@ -125,7 +130,7 @@ def _full_step(states, n, b, tail, op, problem, width, step):
     history = b[n] * states[0]
     if n:
         history += tail[-n:] @ states[1 : n + 1]
-    return _step(op, problem, states[n], n * width, width, history, None,
+    return _step(op, problem, states[n], n * width, gam, history, None,
                  _lu_solve_checked, step)
 
 
@@ -133,10 +138,11 @@ def _full_march(problem, op, width, count):
     """States at nodes ``0..count`` of the L1 march at step ``width``, full history."""
     b = weights_for(problem.alpha).on_grid(1, count + 1)
     tail = _telescoped(b, count)[1:]
+    gam = _gamma(problem, width)
     states = np.empty((count + 1, op.interior_size))
     states[0] = initial_state(problem, op)
     for n in range(count):
-        states[n + 1] = _full_step(states, n, b, tail, op, problem, width, n)
+        states[n + 1] = _full_step(states, n, b, tail, op, problem, width, gam, n)
     return states
 
 
@@ -163,7 +169,8 @@ def coarse_step(history, op, grids, problem, step_index=None):
     if step_index is None:
         step_index = n
     b = weights_for(problem.alpha).on_grid(1, n + 1)
-    return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT, step_index)
+    return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT,
+                      _gamma(problem, grids.dT), step_index)
 
 
 def run_coarse(problem, op, grids):
@@ -190,10 +197,12 @@ def _coarse_contribution(wt, hist, n, m, alpha):
 
 
 def _march(start, hist, n, op, grids, problem, solve):
-    """Fine paths ``paths[..., r, :]`` at nodes ``(n, r)``, ``r = 0..m``.
+    """Fine paths ``paths[r]`` at nodes ``(n, r)``, ``r = 0..m``, substep-major.
 
-    ``n`` is one interval or a range, ``start`` the state(s) at node ``n``;
-    ``hist`` (coarse states from node 0) enters through the coarse coupling.
+    ``n`` is one interval or a range and ``start`` the state(s) at node
+    ``n``; ``hist`` (coarse states from node 0) enters through the coarse
+    coupling.  The history is an ``einsum``: a BLAS gemv rounds a column by
+    its place in the row, which would tie the bits to the grouping.
     """
     m = grids.m
     alpha = problem.alpha
@@ -201,18 +210,19 @@ def _march(start, hist, n, op, grids, problem, solve):
     rows = wt.fine_rows(m)
     if isinstance(n, range):
         base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
-        coupling = np.stack([_coarse_contribution(wt, hist[: j + 1], j, m, alpha) for j in n])
+        coupling = np.stack([_coarse_contribution(wt, hist[: j + 1], j, m, alpha) for j in n], 1)
     else:
         base_t = n * grids.dT
         coupling = _coarse_contribution(wt, hist[: n + 1], n, m, alpha)
+    gam = _gamma(problem, grids.dt)
 
-    paths = np.empty(start.shape[:-1] + (m + 1, op.interior_size))
-    paths[..., 0, :] = start
+    paths = np.empty((m + 1,) + start.shape)
+    paths[0] = start
+    flat = paths.reshape(m + 1, -1)
     for r in range(1, m + 1):
-        history = np.einsum("j,...js->...s", rows[r - 1], paths[..., :r, :])
-        paths[..., r, :] = _step(op, problem, paths[..., r - 1, :],
-                                 base_t + (r - 1) * grids.dt, grids.dt, history,
-                                 coupling[..., r - 1, :], solve, (n, r))
+        history = np.einsum("j,jk->k", rows[r - 1], flat[:r]).reshape(start.shape)
+        paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
+                         history, coupling[r - 1], solve, (n, r))
     return paths
 
 
@@ -256,7 +266,7 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     if not 0 <= n_lo < n_hi < U.shape[0]:
         raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
     paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
-    return paths[:, -1].copy()
+    return paths[-1].copy()
 
 
 def chain_fine(problem, op, grids):

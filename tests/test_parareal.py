@@ -164,6 +164,14 @@ class TestWorkerProcesses:
             assert all(len(times) == blocks for times in report.block_seconds)
             assert all(t > 0.0 for times in report.block_seconds for t in times)
 
+    def test_correction_seconds_per_iteration(self, op16, paper42):
+        grids = TimeGrids(1.0, 8, 4)
+        for threads in (1, 2):
+            _, report = parareal_solve(paper42, op16, grids, tol=1e-10, k_max=4,
+                                       threads=threads)
+            assert len(report.correction_seconds) == report.iterations
+            assert all(t > 0.0 for t in report.correction_seconds)
+
     def test_one_thread_starts_no_process(self, op8, paper42, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for threads=1")

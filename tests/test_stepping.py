@@ -193,7 +193,7 @@ class TestFineSweep:
             want, _ = fine_propagate(traj[n], traj[: n + 1], op8, grids, paper42)
             assert np.abs(batched[n] - want).max() <= 1e-13
 
-    def test_block_split_invariance(self, op8, paper42):
+    def test_block_split_invariance(self, op8, op16, paper42):
         grids = TimeGrids(1.0, 8, 4)
         traj = run_coarse(paper42, op8, grids)
         whole = fine_sweep_intervals(traj, 0, 8, op8, grids, paper42)
@@ -203,6 +203,23 @@ class TestFineSweep:
             fine_sweep_intervals(traj, 5, 8, op8, grids, paper42),
         ])
         assert np.array_equal(whole, pieces)
+
+        # every split point and every single interval: dt = 1/180 is not a
+        # power of two, and 15 interior values make every history row an odd
+        # width.  A BLAS gemv history rounds such rows by their position in
+        # the block, which moves endpoints here once substeps reach about 10
+        grids = TimeGrids(1.0, 6, 30)
+        traj = run_coarse(paper42, op16, grids)
+        whole = fine_sweep_intervals(traj, 0, 6, op16, grids, paper42)
+        for split in range(1, 6):
+            pieces = np.vstack([
+                fine_sweep_intervals(traj, 0, split, op16, grids, paper42),
+                fine_sweep_intervals(traj, split, 6, op16, grids, paper42),
+            ])
+            assert np.array_equal(whole, pieces), split
+        for n in range(6):
+            single = fine_sweep_intervals(traj, n, n + 1, op16, grids, paper42)
+            assert np.array_equal(whole[n], single[0]), n
 
 
 class TestRunFineSequential:
