@@ -103,10 +103,9 @@ class FractionalWeights:
     """Memoized L1 weights for one fixed order.
 
     Scalar lookups share a dict, grid lookups (``b_{q/denom}`` for
-    ``q = 0..count-1``) share read-only arrays that grow on demand.  Dict
-    and array inserts are atomic and idempotent, so concurrent readers are
-    safe once a value exists; populate before a parallel phase to avoid
-    duplicate work.  A different order requires a new instance.
+    ``q = 0..count-1``) share read-only arrays that grow on demand.  Forked
+    worker processes inherit the table as it was at fork time; entries they
+    add stay in the worker.  A different order requires a new instance.
     """
 
     __slots__ = ("alpha", "_scalar", "_grids", "_rows")

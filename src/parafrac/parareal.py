@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
@@ -81,13 +81,8 @@ def _block_bounds(count, threads):
     """Contiguous, near-even split of ``range(count)`` into at most ``threads`` blocks."""
     blocks = min(threads, count)
     base, extra = divmod(count, blocks)
-    bounds = []
-    lo = 0
-    for i in range(blocks):
-        hi = lo + base + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    cuts = [i * base + min(i, extra) for i in range(blocks + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 _worker_inputs = None  # (op, grids, problem), set in each worker process
@@ -117,35 +112,30 @@ def _worker_sweep(u_nodes, lo, hi):
     return _sweep(u_nodes, lo, hi, *_worker_inputs)
 
 
-def _stage_in_caller(u_nodes, g_old, f_old, op, grids, problem, lo, hi):
-    f_old[lo:hi], seconds = _sweep(u_nodes, lo, hi, op, grids, problem)
-    for n in range(grids.nt):
-        g_old[n] = coarse_step(u_nodes[: n + 1], op, grids, problem, step_index=n)
-    return seconds
-
-
 def _parallel_stage(u_nodes, g_old, f_old, op, grids, problem, bounds, pool):
     """Fill ``f_old`` and ``g_old`` from ``u_nodes``; returns the block times.
 
     ``pool`` marches blocks ``bounds[1:]`` while the caller marches
-    ``bounds[0]`` and then all coarse steps.
+    ``bounds[0]`` and then all coarse steps.  On a failure the caller
+    marches the intervals again one at a time, so the error raised is the
+    first failing interval at its first failing substep, as
+    :func:`~parafrac.stepping.chain_fine` reports it, for any thread count;
+    a coarse-step error stands only if no fine interval fails.
     """
     futures = [pool.submit(_worker_sweep, u_nodes, lo, hi) for lo, hi in bounds[1:]]
-    error = None
     try:
-        times = [_stage_in_caller(u_nodes, g_old, f_old, op, grids, problem, *bounds[0])]
-    except ParafracError as exc:
-        error = exc
-    wait(futures)
-    failed = error is not None or any(isinstance(f.exception(), ParafracError) for f in futures)
-    if futures and failed:
-        # which block fails first depends on the grouping; one block reports as 1 thread does
-        _stage_in_caller(u_nodes, g_old, f_old, op, grids, problem, 0, grids.nt)
-    if error is not None:
-        raise error
-    for (lo, hi), fut in zip(bounds[1:], futures):
-        f_old[lo:hi], seconds = fut.result()
-        times.append(seconds)
+        lo, hi = bounds[0]
+        f_old[lo:hi], seconds = _sweep(u_nodes, lo, hi, op, grids, problem)
+        times = [seconds]
+        for n in range(grids.nt):
+            g_old[n] = coarse_step(u_nodes[: n + 1], op, grids, problem)
+        for (lo, hi), fut in zip(bounds[1:], futures):
+            f_old[lo:hi], seconds = fut.result()
+            times.append(seconds)
+    except ParafracError:
+        for n in range(grids.nt):
+            fine_sweep_intervals(u_nodes, n, n + 1, op, grids, problem)
+        raise
     return times
 
 
@@ -181,7 +171,7 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
             u_next = np.empty_like(u_curr)
             u_next[0] = u_curr[0]
             for n in range(nt):
-                g_new[n] = coarse_step(u_next[: n + 1], op, grids, problem, step_index=n)
+                g_new[n] = coarse_step(u_next[: n + 1], op, grids, problem)
                 u_next[n + 1] = f_old[n] + (g_new[n] - g_old[n])
             correction_seconds.append(time.perf_counter() - sweep_t0)
 
@@ -235,10 +225,9 @@ def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    for name, count in (("k_max", k_max), ("threads", threads)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     want = (grids.nt + 1, op.interior_size)
     if reference is not None and np.shape(reference) != want:
         raise ValueError(f"reference has shape {np.shape(reference)}, expected {want}")

@@ -15,10 +15,13 @@ Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
 one dense solve; each march only builds its history sum.  Two solves stay
 on purpose: scipy's LU with a small-pivot check for single systems, and
-numpy's stacked ``linalg.solve`` for the sweep, which releases the GIL but
-hides its pivots.  An exact check per stacked system made 1-thread
-parareal 1.3 to 7 times slower, and a solve picked by batch size would tie
-results to the thread count.
+numpy's stacked ``linalg.solve`` for the sweep, which solves a block's
+systems in one call instead of one call per system but hides its pivots.
+For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
+25 us, a loop of raw LAPACK ``getrf``/``getrs`` 54 us and a loop of scipy
+``lu_factor``/``lu_solve`` 374 us.  An exact check per stacked system made
+1-thread parareal 1.3 to 7 times slower, and a solve picked by batch size
+would tie results to the thread count.
 
 States are vectors of interior collocation values; trajectories are arrays
 of shape ``(nodes, interior)``.
@@ -235,8 +238,8 @@ def fine_propagate(start, coarse_history, op, grids, problem):
     node ``(n, r)`` and ``endpoint`` is the state at coarse node ``n + 1``.
 
     Only the coarse history plus the current interval's fine states enter
-    each substep, which is what makes intervals independent of each other
-    and safe to propagate concurrently.
+    each substep, which is what makes intervals independent of each other,
+    so that separate processes can propagate them in any grouping.
     """
     hist = _history_stack(coarse_history, op, "coarse_history")
     start = np.asarray(start, dtype=float)

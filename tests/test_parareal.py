@@ -34,6 +34,9 @@ class TestBlockBounds:
                 for (a, b), (c, d) in zip(bounds, bounds[1:]):
                     assert b == c and b > a
                 assert len(bounds) == min(threads, count)
+                sizes = [b - a for a, b in bounds]
+                assert max(sizes) - min(sizes) <= 1
+                assert sizes == sorted(sizes, reverse=True)
 
 
 class TestSingleInterval:
@@ -139,6 +142,17 @@ class TestReport:
         with pytest.raises(ValueError):
             parareal_solve(paper42, op16, grids, threads=0)
 
+    def test_counts_must_be_integers(self, op8, paper42):
+        # a float or bool count is rejected, not truncated; numpy integers pass
+        grids = TimeGrids(1.0, 4, 2)
+        for bad in ({"threads": 2.7}, {"k_max": 3.9}, {"threads": True}, {"k_max": True},
+                    {"k_max": 2.0}):
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                parareal_solve(paper42, op8, grids, **bad)
+        _, report = parareal_solve(paper42, op8, grids, tol=1e-16, k_max=np.int64(2),
+                                   threads=np.int32(2))
+        assert report.iterations == 2 and report.threads == 2
+
 
 class TestDeterminism:
     def test_thread_count_invariance(self, op16, paper42):
@@ -185,14 +199,18 @@ class TestWorkerProcesses:
         parareal_solve(paper42, op8, grids, tol=1e-10, k_max=3, threads=2)
         assert multiprocessing.active_children() == []
 
-        def source(x, t, u):
-            return np.where((t > 5 / 8) & (t < 6 / 8), np.nan, 0.0) + 0.0 * u
+        # interval 5 fails in the worker's block; interval 1 in the caller's,
+        # so the error leaves the stage while the worker is still marching
+        for n in (5, 1):
+            def source(x, t, u, n=n):
+                return np.where((t > n / 8) & (t < (n + 1) / 8), np.nan, 0.0) + 0.0 * u
 
-        prob = make_problem(lambda x, t, u: 1.0, source,
-                            lambda x: np.sin(np.pi * np.asarray(x)))
-        with pytest.raises(SolverFailure):
-            parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=2)
-        assert multiprocessing.active_children() == []
+            prob = make_problem(lambda x, t, u: 1.0, source,
+                                lambda x: np.sin(np.pi * np.asarray(x)))
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=2)
+            assert err.value.step == (n, 2)
+            assert multiprocessing.active_children() == []
 
     def test_closure_state_read_afresh_by_every_solve(self, op8):
         # workers are started per solve, so a callback whose captured value
@@ -241,7 +259,8 @@ class TestFailureLocation:
 
     def test_two_failing_intervals_reported_alike_for_any_thread_count(self, op8):
         # interval 2 fails from substep 4 and interval 6 from substep 2; the
-        # earliest substep wins, as in one block, whichever block fails first
+        # failure earliest in time wins, as in the sequential solvers,
+        # whichever block fails first
         def source(x, t, u):
             bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
             return np.where(bad, np.nan, 0.0) + 0.0 * u
@@ -249,10 +268,17 @@ class TestFailureLocation:
         prob = make_problem(lambda x, t, u: 1.0, source,
                             lambda x: np.sin(np.pi * np.asarray(x)))
         grids = TimeGrids(1.0, 8, 4)
+        with pytest.raises(SolverFailure) as err:
+            chain_fine(prob, op8, grids)
+        assert err.value.step == (2, 4)
+        with pytest.raises(SolverFailure) as err:
+            run_fine_sequential(prob, op8, grids)
+        assert err.value.step == 11  # the step to fine node (2, 4)
         for threads in (1, 2, 3, grids.nt):
             with pytest.raises(SolverFailure) as err:
                 parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
-            assert err.value.step == (6, 2), threads
+            assert err.value.step == (2, 4), threads
+        assert multiprocessing.active_children() == []
 
 
 class TestNearSingularFineSystem:
