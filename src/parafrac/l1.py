@@ -149,16 +149,37 @@ class FractionalWeights:
         """Per-substep weight rows for marching one interval.
 
         ``rows[r-1]`` has length ``r``: entry 0 multiplies the interval
-        start, entry ``j`` multiplies the ``j``-th fine state.
+        start, entry ``j`` multiplies the ``j``-th fine state.  Storage is
+        O(m): every row but its first entry is a suffix of one telescoped
+        tail, so rows are built on access.
         """
         rows = self._rows.get(m)
         if rows is None:
             b = self.on_grid(1, m)
-            rows = tuple(_telescoped(b, r) for r in range(m))
-            for w in rows:
-                w.setflags(write=False)
-            self._rows[m] = rows
+            tail = _telescoped(b, m - 1)[1:]
+            tail.setflags(write=False)
+            rows = self._rows[m] = _FineRows(b, tail)
         return rows
+
+
+class _FineRows:
+    """``rows[r-1] == _telescoped(b, r-1)``, built as ``[b_{r-1}, *tail[m-r:]]``."""
+
+    __slots__ = ("_b", "_tail")
+
+    def __init__(self, b, tail):
+        self._b = b
+        self._tail = tail
+
+    def __len__(self):
+        return self._b.shape[0]
+
+    def __getitem__(self, i):
+        r = range(1, len(self) + 1)[i]  # IndexError ends iteration
+        w = np.empty(r)
+        w[0] = self._b[r - 1]
+        w[1:] = self._tail[len(self) - r :]
+        return w
 
 
 def _telescoped(b, n):

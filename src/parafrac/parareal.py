@@ -215,6 +215,11 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     return iterate, report
 
 
+def _is_integer(count):
+    """A Python or numpy integer; ``bool`` and floats are not counts."""
+    return isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+
+
 def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference=None):
     """Run the parareal iteration; returns ``(iterate, report)``.
 
@@ -226,7 +231,7 @@ def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     for name, count in (("k_max", k_max), ("threads", threads)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        if not _is_integer(count) or count < 1:
             raise ValueError(f"{name} must be a positive integer, got {count!r}")
     want = (grids.nt + 1, op.interior_size)
     if reference is not None and np.shape(reference) != want:
@@ -242,10 +247,10 @@ def exactness_check(problem, op, grids, k):
     propagator sequentially (finite termination).  Returns the max L2
     mismatch over nodes ``0..k``.
     """
-    if not 0 <= k <= grids.nt:
-        raise ValueError(f"iteration count k={k} outside 0..{grids.nt}")
+    if not _is_integer(k) or not 0 <= k <= grids.nt:
+        raise ValueError(f"iteration count k={k!r} must be an integer in 0..{grids.nt}")
     if k == 0:
         return 0.0
     fixed = chain_fine(problem, op, grids)
-    iterate, _ = _solve(problem, op, grids, tol=None, k_max=k, threads=1, reference=None)
+    iterate, _ = _solve(problem, op, grids, tol=None, k_max=int(k), threads=1, reference=None)
     return max(l2_norm(op, iterate.states[n] - fixed[n]) for n in range(k + 1))

@@ -10,6 +10,8 @@
   with fractional-index weights (the parallelizable propagator).  The same
   interval march, :func:`_march`, serves :func:`fine_sweep_intervals` on a
   stack of intervals, with paths stored substep-major (one row per substep).
+  The coarse coupling of each substep waits in the path row it precedes
+  until the substep's state overwrites it, so a sweep holds one array.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
@@ -111,7 +113,9 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time,
     or a stack of states and a column of times, with the matching ``solve``.
     ``history``, a fresh array, becomes the right-hand side in place.
-    ``coupling`` may be ``None``; it is added last, which fixes the rounding.
+    ``coupling`` may be ``None``; it is added last, which fixes the rounding,
+    and read before the caller stores the result, so it may be the path row
+    the result goes to.
     """
     a_mat = assemble_diffusion(op, u_prev, t_prev, problem)
     f = np.asarray(problem.source(op.interior_nodes, t_prev, u_prev), dtype=float)
@@ -181,22 +185,24 @@ def run_coarse(problem, op, grids):
     return _full_march(problem, op, grids.dT, grids.nt)
 
 
-def _coarse_contribution(wt, hist, n, m, alpha):
-    """History-side right-hand terms of the fine march, one row per substep.
+def _coarse_contribution(wt, hist, n, m, alpha, out):
+    """Write the history-side right-hand terms of the fine march into ``out``.
 
-    Row ``r-1`` carries the coarse-history bracket for target node
-    ``(n, r)``: fractional-index weights applied to the coarse state
-    increments, ``-m^-alpha sum_i b_{n-i+r/m} (U_i - U_{i-1})``.  The
-    weight ``b_{(n-i)m+r over m}`` is a plain reshape of the cached weight
-    grid, so the whole bracket is one matrix product.
+    ``out`` is the interval's path rows ``1..m``: row ``r`` waits there as
+    the coarse-history bracket for target node ``(n, r)`` until substep
+    ``r`` overwrites it with its state.  The bracket applies
+    fractional-index weights to the coarse state increments,
+    ``-m^-alpha sum_i b_{n-i+r/m} (U_i - U_{i-1})``.  The weight
+    ``b_{(n-i)m+r over m}`` is a plain reshape of the cached weight grid, so
+    the whole bracket is one matrix product.
     """
-    ni = hist.shape[1]
     if n == 0:
-        return np.zeros((m, ni))
+        out[...] = 0.0
+        return
     bq = wt.on_grid(m, n * m + 1)
     picks = bq[1 : n * m + 1].reshape(n, m)  # picks[j, r-1] = b_{(j m + r)/m}
     increments = hist[1:] - hist[:-1]
-    return -(float(m) ** (-alpha)) * (picks.T @ increments[::-1])
+    np.multiply(-(float(m) ** (-alpha)), picks.T @ increments[::-1], out=out)
 
 
 def _march(start, hist, n, op, grids, problem, solve):
@@ -204,28 +210,32 @@ def _march(start, hist, n, op, grids, problem, solve):
 
     ``n`` is one interval or a range and ``start`` the state(s) at node
     ``n``; ``hist`` (coarse states from node 0) enters through the coarse
-    coupling.  The history is an ``einsum``: a BLAS gemv rounds a column by
-    its place in the row, which would tie the bits to the grouping.
+    coupling, which waits in the path row it precedes: row ``r`` holds
+    substep ``r``'s coupling until that substep's state replaces it, so a
+    sweep holds one array.  The history is an ``einsum``: a BLAS gemv
+    rounds a column by its place in the row, which would tie the bits to
+    the grouping.
     """
     m = grids.m
     alpha = problem.alpha
     wt = weights_for(alpha)
     rows = wt.fine_rows(m)
-    if isinstance(n, range):
-        base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
-        coupling = np.stack([_coarse_contribution(wt, hist[: j + 1], j, m, alpha) for j in n], 1)
-    else:
-        base_t = n * grids.dT
-        coupling = _coarse_contribution(wt, hist[: n + 1], n, m, alpha)
-    gam = _gamma(problem, grids.dt)
-
     paths = np.empty((m + 1,) + start.shape)
     paths[0] = start
+    if isinstance(n, range):
+        base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
+        for i, j in enumerate(n):
+            _coarse_contribution(wt, hist[: j + 1], j, m, alpha, paths[1:, i])
+    else:
+        base_t = n * grids.dT
+        _coarse_contribution(wt, hist[: n + 1], n, m, alpha, paths[1:])
+    gam = _gamma(problem, grids.dt)
+
     flat = paths.reshape(m + 1, -1)
     for r in range(1, m + 1):
         history = np.einsum("j,jk->k", rows[r - 1], flat[:r]).reshape(start.shape)
         paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
-                         history, coupling[r - 1], solve, (n, r))
+                         history, paths[r], solve, (n, r))
     return paths
 
 

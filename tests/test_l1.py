@@ -1,6 +1,7 @@
 """Weight identities and the two discrete Caputo operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from parafrac import (
     discrete_caputo_hybrid,
     l1_weight,
 )
-from parafrac.l1 import FractionalWeights, gamma_2_minus, weights_for
+from parafrac.l1 import FractionalWeights, _telescoped, gamma_2_minus, weights_for
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -84,6 +85,21 @@ class TestWeights:
         rows = FractionalWeights(0.5).fine_rows(6)
         assert [len(r) for r in rows] == [1, 2, 3, 4, 5, 6]
         assert rows[0][0] == 1.0  # b_0 multiplies the start at r = 1
+        for m in (1, 6, 33):
+            wt = FractionalWeights(0.5)
+            rows = wt.fine_rows(m)
+            b = wt.on_grid(1, m)
+            assert len(rows) == m
+            for r in range(1, m + 1):
+                assert np.array_equal(rows[r - 1], _telescoped(b, r - 1)), (m, r)
+        # O(m) storage: the m rows together would take m(m+1)/2 floats, 16 MiB here
+        tracemalloc.start()
+        try:
+            FractionalWeights(0.5).fine_rows(2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCoarseOperator:

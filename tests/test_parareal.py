@@ -152,6 +152,12 @@ class TestReport:
         _, report = parareal_solve(paper42, op8, grids, tol=1e-16, k_max=np.int64(2),
                                    threads=np.int32(2))
         assert report.iterations == 2 and report.threads == 2
+        # exactness_check applies the same rule to its iteration count
+        for bad in (2.5, True, 2.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                exactness_check(paper42, op8, grids, bad)
+        assert exactness_check(paper42, op8, grids, np.int64(2)) == exactness_check(
+            paper42, op8, grids, 2)
 
 
 class TestDeterminism:

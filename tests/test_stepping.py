@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,6 +221,21 @@ class TestFineSweep:
         for n in range(6):
             single = fine_sweep_intervals(traj, n, n + 1, op16, grids, paper42)
             assert np.array_equal(whole[n], single[0]), n
+
+    def test_sweep_holds_one_path_array(self, op8, paper42):
+        # the coarse coupling waits in the path rows, so a warm sweep's peak
+        # is the (m+1, B, interior) path array plus per-substep temporaries
+        grids = TimeGrids(1.0, 4, 512)
+        traj = run_coarse(paper42, op8, grids)
+        fine_sweep_intervals(traj, 0, 4, op8, grids, paper42)
+        path_bytes = (grids.m + 1) * grids.nt * op8.interior_size * 8
+        tracemalloc.start()
+        try:
+            fine_sweep_intervals(traj, 0, 4, op8, grids, paper42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * path_bytes
 
 
 class TestRunFineSequential:
