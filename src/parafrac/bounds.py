@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .l1 import gamma_2_minus, l1_weight
+from .l1 import _is_integer, _step_factor, l1_weight
 
 __all__ = [
     "BoundParams",
@@ -33,6 +33,15 @@ __all__ = [
 INDEX_CAP = 512
 # below this distance from c = 1 the closed forms switch to their analytic limit
 C_LIMIT_TOL = 1e-9
+
+
+def _check_indices(n, k):
+    if not (_is_integer(n) and _is_integer(k)):
+        raise ValueError(f"n and k must be integers, got {(n, k)!r}")
+    if not 1 <= n <= INDEX_CAP:
+        raise ValueError(f"n must lie in 1..{INDEX_CAP}")
+    if not 0 <= k <= INDEX_CAP:
+        raise ValueError(f"k must lie in 0..{INDEX_CAP}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,7 @@ class BoundParams:
         for name in ("a", "b", "c", "e0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not 1 <= self.n <= INDEX_CAP:
-            raise ValueError(f"n must lie in 1..{INDEX_CAP}")
-        if not 0 <= self.k <= INDEX_CAP:
-            raise ValueError(f"k must lie in 0..{INDEX_CAP}")
+        _check_indices(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def lipschitz_coarse(dT, alpha, c_diff=0.0, l_f=0.0):
         raise ValueError("step must be positive")
     if c_diff < 0 or l_f < 0:
         raise ValueError("constants must be nonnegative")
-    s = dT**alpha * gamma_2_minus(alpha)
+    s = _step_factor(dT, alpha)
     den = 1.0 - l_f * s
     if den <= 0:
         raise ValueError("time step too large for the given source Lipschitz constant")
@@ -122,7 +128,7 @@ def lipschitz_fine(dT, dt, m, alpha, c_diff=0.0, l_f=0.0, r=None):
         raise ValueError(f"substep r={r} outside 1..{m}")
     if c_diff < 0 or l_f < 0:
         raise ValueError("constants must be nonnegative")
-    s = dt**alpha * gamma_2_minus(alpha)
+    s = _step_factor(dt, alpha)
     den = 1.0 - l_f * s
     if den <= 0:
         raise ValueError("time step too large for the given source Lipschitz constant")
@@ -222,10 +228,7 @@ def iteration_error_bound(consts, n, k, fine_err, coarse_err):
     ``k >= n`` (finite termination).  For ``k = 0`` the iteration sum is
     empty and the bound reduces to ``c^(n-1) * coarse_err``.
     """
-    if not 1 <= n <= INDEX_CAP:
-        raise ValueError(f"n must lie in 1..{INDEX_CAP}")
-    if not 0 <= k <= INDEX_CAP:
-        raise ValueError(f"k must lie in 0..{INDEX_CAP}")
+    _check_indices(n, k)
     if fine_err < 0 or coarse_err < 0:
         raise ValueError("propagator errors must be nonnegative")
     a, b, c = consts.a, consts.b, consts.c

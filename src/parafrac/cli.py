@@ -169,7 +169,12 @@ def _write_csv(path, header, rows):
 
 
 def _effective_threads(cfg):
-    return cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
+    """``--threads``, or the CPUs this process may run on (all of them where unknown)."""
+    if cfg.threads is not None:
+        return cfg.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _setup(cfg):
@@ -254,7 +259,8 @@ def cmd_bounds(cfg):
 def cmd_truncation(cfg):
     alpha = cfg.alpha if cfg.alpha is not None else 0.5
     nt_list = cfg.sweep or (8, 16, 32, 64)
-    study = truncation_study(alpha, cfg.m, nt_list, function=cfg.function)
+    t_final = cfg.t_final if cfg.t_final is not None else 1.0
+    study = truncation_study(alpha, cfg.m, nt_list, function=cfg.function, t_final=t_final)
     for region in ("n0", "n1", "n2plus"):
         print(f"fitted order {region}: {study.orders[region]:.4f}", file=sys.stderr)
     return ("nt", "dt", "region", "n", "r", "t", "abs_error"), study.rows

@@ -209,8 +209,8 @@ def truncation_study(alpha, m, nt_list, function="mixed", t_final=1.0):
     rows = []
     dts, max_n0, max_n1, probes = [], [], [], []
     for nt in nt_list:
-        grids = TimeGrids(t_final, int(nt), int(m))
-        probe_n = max(2, (3 * int(nt)) // 4 - 1)
+        grids = TimeGrids(t_final, nt, m)
+        probe_n = max(2, (3 * nt) // 4 - 1)
         worst_n0 = worst_n1 = 0.0
         probe_err = None
         for n in range(grids.nt):

@@ -37,9 +37,19 @@ def _check_alpha(alpha):
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha}")
 
 
+def _is_integer(count):
+    """A Python or numpy integer; ``bool`` and floats are not counts."""
+    return isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+
+
 def gamma_2_minus(alpha):
     """Gamma(2 - alpha), evaluated on the log scale."""
     return math.exp(math.lgamma(2.0 - alpha))
+
+
+def _step_factor(width, alpha):
+    """``width^alpha Gamma(2 - alpha)``, the factor of ``f`` in an L1 step of ``width``."""
+    return width**alpha * gamma_2_minus(alpha)
 
 
 def l1_weight(x, alpha):
@@ -75,10 +85,8 @@ class TimeGrids:
         if not self.t_final > 0:
             raise ValueError(f"final time must be positive, got {self.t_final}")
         counts = (self.nt, self.m)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
-            raise ValueError(f"grid counts nt and m must be integers, got {counts}")
-        if self.nt < 1 or self.m < 1:
-            raise ValueError("grid counts nt and m must be positive integers")
+        if not all(_is_integer(c) and c >= 1 for c in counts):
+            raise ValueError(f"grid counts nt and m must be positive integers, got {counts}")
 
     @property
     def dT(self):
@@ -92,9 +100,6 @@ class TimeGrids:
     def total_fine(self):
         return self.nt * self.m
 
-    def coarse_node(self, n):
-        return n * self.dT
-
     def fine_node(self, n, r):
         return n * self.dT + r * self.dt
 
@@ -102,29 +107,19 @@ class TimeGrids:
 class FractionalWeights:
     """Memoized L1 weights for one fixed order.
 
-    Scalar lookups share a dict, grid lookups (``b_{q/denom}`` for
-    ``q = 0..count-1``) share read-only arrays that grow on demand.  Forked
-    worker processes inherit the table as it was at fork time; entries they
-    add stay in the worker.  A different order requires a new instance.
+    The one cache is the weight grids: lookups of ``b_{q/denom}`` for
+    ``q = 0..count-1`` share one read-only array per ``denom`` that grows
+    on demand.  Forked worker processes inherit the grids as they were at
+    fork time; entries they add stay in the worker.  A different order
+    requires a new instance.
     """
 
-    __slots__ = ("alpha", "_scalar", "_grids", "_rows")
+    __slots__ = ("alpha", "_grids")
 
     def __init__(self, alpha):
         _check_alpha(alpha)
         self.alpha = float(alpha)
-        self._scalar = {}
         self._grids = {}
-        self._rows = {}
-
-    def value(self, x):
-        """Scalar weight ``b_x``."""
-        try:
-            return self._scalar[x]
-        except KeyError:
-            w = l1_weight(x, self.alpha)
-            self._scalar[x] = w
-            return w
 
     def on_grid(self, denom, count):
         """Array of ``b_{q/denom}`` for ``q = 0..count-1`` (read-only)."""
@@ -149,17 +144,12 @@ class FractionalWeights:
         """Per-substep weight rows for marching one interval.
 
         ``rows[r-1]`` has length ``r``: entry 0 multiplies the interval
-        start, entry ``j`` multiplies the ``j``-th fine state.  Storage is
-        O(m): every row but its first entry is a suffix of one telescoped
-        tail, so rows are built on access.
+        start, entry ``j`` multiplies the ``j``-th fine state.  Built per
+        call from O(m) work and storage: every row but its first entry is a
+        suffix of one telescoped tail, so rows are built on access.
         """
-        rows = self._rows.get(m)
-        if rows is None:
-            b = self.on_grid(1, m)
-            tail = _telescoped(b, m - 1)[1:]
-            tail.setflags(write=False)
-            rows = self._rows[m] = _FineRows(b, tail)
-        return rows
+        b = self.on_grid(1, m)
+        return _FineRows(b, _telescoped(b, m - 1)[1:])
 
 
 class _FineRows:

@@ -22,6 +22,7 @@ iterates drops below the tolerance, or after ``k_max`` iterations.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -31,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParafracError
+from .l1 import _is_integer
 from .spectral import l2_norm
 from .stepping import chain_fine, coarse_step, fine_sweep_intervals, run_coarse
 
@@ -72,7 +74,6 @@ class PararealReport:
     wall_time: float
     iteration_times: list = field(default_factory=list)
     errors_vs_reference: Optional[list] = None
-    wall_time_reference: Optional[float] = None
     block_seconds: list = field(default_factory=list)
     correction_seconds: list = field(default_factory=list)
 
@@ -215,11 +216,6 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     return iterate, report
 
 
-def _is_integer(count):
-    """A Python or numpy integer; ``bool`` and floats are not counts."""
-    return isinstance(count, (int, np.integer)) and not isinstance(count, bool)
-
-
 def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference=None):
     """Run the parareal iteration; returns ``(iterate, report)``.
 
@@ -228,8 +224,8 @@ def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference
     carries the final-node error against it for every iterate, including
     the initial coarse sweep.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+        raise ValueError(f"tolerance must be a positive number, got {tol!r}")
     for name, count in (("k_max", k_max), ("threads", threads)):
         if not _is_integer(count) or count < 1:
             raise ValueError(f"{name} must be a positive integer, got {count!r}")

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolverFailure
-from .l1 import _telescoped, gamma_2_minus, weights_for
+from .l1 import _step_factor, _telescoped, weights_for
 from .spectral import assemble_diffusion
 
 __all__ = [
@@ -102,11 +102,6 @@ def _stacked_solve(systems, rhs, step):
     return out
 
 
-def _gamma(problem, width):
-    """``gam = width^alpha Gamma(2 - alpha)``, the step factor of a step of ``width``."""
-    return width**problem.alpha * gamma_2_minus(problem.alpha)
-
-
 def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     """One semi-implicit step: solve ``(I - gam A) u = history + gam f + coupling``.
 
@@ -145,7 +140,7 @@ def _full_march(problem, op, width, count):
     """States at nodes ``0..count`` of the L1 march at step ``width``, full history."""
     b = weights_for(problem.alpha).on_grid(1, count + 1)
     tail = _telescoped(b, count)[1:]
-    gam = _gamma(problem, width)
+    gam = _step_factor(width, problem.alpha)
     states = np.empty((count + 1, op.interior_size))
     states[0] = initial_state(problem, op)
     for n in range(count):
@@ -163,21 +158,19 @@ def _history_stack(history, op, name):
     return states
 
 
-def coarse_step(history, op, grids, problem, step_index=None):
+def coarse_step(history, op, grids, problem):
     """One semi-implicit L1 step on the coarse grid.
 
     ``history`` holds the states at coarse nodes ``0..n``; returns the
     state at node ``n + 1``.  The diffusion matrix and the source are
     frozen at ``(U_n, T_n)``, so the quasilinear problem costs one dense
-    solve per step.
+    solve per step.  A failure names step ``n``.
     """
     states = _history_stack(history, op, "history")
     n = states.shape[0] - 1
-    if step_index is None:
-        step_index = n
     b = weights_for(problem.alpha).on_grid(1, n + 1)
     return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT,
-                      _gamma(problem, grids.dT), step_index)
+                      _step_factor(grids.dT, problem.alpha), n)
 
 
 def run_coarse(problem, op, grids):
@@ -229,7 +222,7 @@ def _march(start, hist, n, op, grids, problem, solve):
     else:
         base_t = n * grids.dT
         _coarse_contribution(wt, hist[: n + 1], n, m, alpha, paths[1:])
-    gam = _gamma(problem, grids.dt)
+    gam = _step_factor(grids.dt, problem.alpha)
 
     flat = paths.reshape(m + 1, -1)
     for r in range(1, m + 1):

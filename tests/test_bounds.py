@@ -138,6 +138,12 @@ class TestGronwallClosed:
             BoundParams(1.0, 1.0, 1.0, 0, 2)
         with pytest.raises(ValueError):
             BoundParams(1.0, 1.0, 1.0, 5, 600)
+        # a float or bool index is rejected, not run as an integer; numpy integers pass
+        for n, k in ((3.5, 1), (3, 1.0), (True, True), (True, 1)):
+            with pytest.raises(ValueError, match="must be integers"):
+                BoundParams(1.0, 1.1, 1.0, n=n, k=k)
+        assert double_sum_exact(BoundParams(1.0, 1.1, 1.0, n=np.int64(3), k=np.int32(1))) == \
+            double_sum_exact(BoundParams(1.0, 1.1, 1.0, n=3, k=1))
 
 
 class TestSingleSum:
@@ -203,6 +209,13 @@ class TestIterationErrorBound:
         assert self.CONSTS.b == self.CONSTS.a - 1.0 + self.CONSTS.c
         with pytest.raises(ValueError):
             LipschitzConstants(0.9, 1.5)
+
+    def test_index_validation(self):
+        for n, k in ((0, 2), (5, -1), (5, 600), (3.5, 1), (3, 1.0), (True, True)):
+            with pytest.raises(ValueError):
+                iteration_error_bound(self.CONSTS, n, k, fine_err=1e-3, coarse_err=1e-2)
+        assert iteration_error_bound(self.CONSTS, np.int64(6), np.int32(3), 1e-3, 1e-2) == \
+            iteration_error_bound(self.CONSTS, 6, 3, 1e-3, 1e-2)
 
     def test_coarse_term_gone_for_k_at_least_n(self):
         val = iteration_error_bound(self.CONSTS, 6, 6, fine_err=1e-3, coarse_err=1e6)

@@ -254,6 +254,15 @@ class TestTruncationCommand:
         err = capsys.readouterr().err
         assert "fitted order n2plus" in err
 
+    def test_t_final_from_config(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[run]\nt_final = 2\n")
+        out = tmp_path / "t.csv"
+        assert main(["truncation", "--config", str(cfg_path), "--m", "2", "--sweep", "4,8",
+                     "--function", "const", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert max(float(row[header.index("t")]) for row in rows) == 2.0
+
 
 class TestDeterministicOutput:
     def test_quasilinear_example_runs(self, tmp_path):
@@ -304,6 +313,20 @@ class TestDiagnostics:
         main(["solve", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4",
               "--out", str(out)])
         assert "threads=" in capsys.readouterr().err
+
+    def test_default_threads_follow_cpu_affinity(self, tmp_path, monkeypatch, capsys):
+        # bounds runs no solve, so the default thread count starts no process
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        argv = ["bounds", "--n", "2", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 0
+        assert "threads=1\n" in capsys.readouterr().err
+        # without an affinity call the host's CPU count stands in
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(argv) == 0
+        assert "threads=64\n" in capsys.readouterr().err
 
     def test_invalid_precondition_single_line(self, tmp_path, capsys):
         code = main(["solve", "--nt", "0", "--out", str(tmp_path / "x.csv")])

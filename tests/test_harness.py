@@ -73,6 +73,12 @@ class TestTruncationStudy:
         with pytest.raises(ValueError):
             truncation_study(0.5, 2, (), function="root")
 
+    def test_non_integer_counts_rejected(self):
+        # a float level is rejected, not marched as int(level) under its own label
+        for m, sweep in ((2, (8.7, 16)), (2.0, (8, 16)), (2, (True, 16))):
+            with pytest.raises(ValueError, match="integers"):
+                truncation_study(0.5, m, sweep, function="const")
+
     def test_sweep_too_short_to_fit_rejected(self):
         for sweep in ((4,), (8, 8)):
             with pytest.raises(ValueError, match="two distinct"):

@@ -141,6 +141,10 @@ class TestReport:
             parareal_solve(paper42, op16, grids, k_max=0)
         with pytest.raises(ValueError):
             parareal_solve(paper42, op16, grids, threads=0)
+        # a missing, boolean or non-numeric tolerance is a ValueError, not a TypeError
+        for bad in (None, True, "1e-8", float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                parareal_solve(paper42, op16, grids, tol=bad)
 
     def test_counts_must_be_integers(self, op8, paper42):
         # a float or bool count is rejected, not truncated; numpy integers pass
