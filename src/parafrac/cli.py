@@ -232,6 +232,7 @@ def cmd_bench(cfg):
         cfg.problem,
         cfg.sweep,
         alpha=cfg.alpha,
+        t_final=cfg.t_final,
         degree=cfg.degree,
         m=cfg.m,
         tol=cfg.tol,

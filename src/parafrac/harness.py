@@ -89,18 +89,19 @@ def _peak_alloc(fn):
         tracemalloc.stop()
 
 
-def bench_point(problem_name, dof, *, alpha=None, degree=16, m=32, tol=1e-10,
+def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32, tol=1e-10,
                 k_max=20, threads=1, reps=3, warmup=1, measure_memory=True):
     """Time both solvers at ``dof = nt * m`` fine steps and report the speedup.
 
     ``m`` is clipped to ``dof`` and ``nt = dof // m`` (the realised dof is
-    recorded).  Timing is the minimum over ``reps`` repetitions after
+    recorded); ``alpha`` and ``t_final`` override the builtin problem's
+    order and horizon.  Timing is the minimum over ``reps`` repetitions after
     ``warmup`` discarded runs; the memory pass runs separately so tracing
     does not pollute the timings.
     """
     m_eff = max(1, min(m, dof))
     nt = max(1, dof // m_eff)
-    problem = get_problem(problem_name, alpha=alpha)
+    problem = get_problem(problem_name, alpha=alpha, t_final=t_final)
     op = build_operator(degree, problem.a, problem.b)
     grids = TimeGrids(problem.t_final, nt, m_eff)
 

@@ -123,8 +123,9 @@ class FractionalWeights:
 
     def on_grid(self, denom, count):
         """Array of ``b_{q/denom}`` for ``q = 0..count-1`` (read-only)."""
-        if denom < 1 or count < 1:
-            raise ValueError("denominator and count must be positive")
+        if not all(_is_integer(c) and c >= 1 for c in (denom, count)):
+            raise ValueError(
+                f"denominator and count must be positive integers, got {(denom, count)}")
         arr = self._grids.get(denom)
         if arr is None or arr.shape[0] < count:
             size = max(count, 64, 0 if arr is None else 2 * arr.shape[0])

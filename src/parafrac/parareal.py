@@ -5,10 +5,18 @@ coarse interval independently, the fine endpoint and the coarse step from
 the current iterate.  The sequential sweep then rebuilds the trajectory
 with the correction ``U[n+1] = F_old(n) + (G_new(n) - G_old(n))``.
 
+After ``k`` iterations, nodes ``0..k`` no longer change.  So in iteration
+``k`` (counting from 0) intervals ``0..k-1`` start from the same nodes as
+in the previous stage, and the stage marches the fine propagator only on
+intervals ``s..nt-1``, ``s = min(k, nt-1)``; the fine endpoints of
+intervals ``0..s-1`` stay from the previous stage, bit for bit what a new
+march would give.  Both stages still take all ``nt`` coarse steps.
+
 ``threads`` counts the processes of the parallel stage: the caller plus
 ``threads - 1`` worker processes, started once per solve.  The intervals
-are split into contiguous blocks; the caller marches block 0 and then
-every coarse step, and each worker marches one of the other blocks.  The
+``s..nt-1`` are split into contiguous blocks, ``threads`` of them or fewer
+once fewer intervals are left; the caller marches block 0 and then every
+coarse step, and each worker marches one of the other blocks.  The
 workers are forked, which makes ``threads > 1`` Linux-only: they inherit
 the problem, operator and grids, so callbacks need not be picklable, and
 only the iterate goes out and each block's endpoints come back.  Starting
@@ -63,8 +71,10 @@ class PararealReport:
 
     ``block_seconds[k]`` holds the fine-sweep wall time of every block of
     iteration ``k``'s parallel stage, each measured in the process that
-    marched it; ``correction_seconds[k]`` is the wall time of iteration
-    ``k``'s sequential correction sweep.
+    marched it.  Only marched intervals are timed: the blocks split
+    intervals ``min(k, nt-1)..nt-1``, so there are
+    ``min(threads, nt - min(k, nt-1))`` of them.  ``correction_seconds[k]``
+    is the wall time of iteration ``k``'s sequential correction sweep.
     """
 
     iterations: int
@@ -118,10 +128,12 @@ def _parallel_stage(u_nodes, g_old, f_old, op, grids, problem, bounds, pool):
 
     ``pool`` marches blocks ``bounds[1:]`` while the caller marches
     ``bounds[0]`` and then all coarse steps.  On a failure the caller
-    marches the intervals again one at a time, so the error raised is the
-    first failing interval at its first failing substep, as
-    :func:`~parafrac.stepping.chain_fine` reports it, for any thread count;
-    a coarse-step error stands only if no fine interval fails.
+    marches the stage's intervals, ``bounds[0][0]..nt-1``, again one at a
+    time, so the error raised is the first failing interval at its first
+    failing substep, as :func:`~parafrac.stepping.chain_fine` reports it,
+    for any thread count; the intervals before them marched without error
+    in an earlier stage from the same nodes.  A coarse-step error stands
+    only if no fine interval fails.
     """
     futures = [pool.submit(_worker_sweep, u_nodes, lo, hi) for lo, hi in bounds[1:]]
     try:
@@ -134,7 +146,7 @@ def _parallel_stage(u_nodes, g_old, f_old, op, grids, problem, bounds, pool):
             f_old[lo:hi], seconds = fut.result()
             times.append(seconds)
     except ParafracError:
-        for n in range(grids.nt):
+        for n in range(bounds[0][0], grids.nt):
             fine_sweep_intervals(u_nodes, n, n + 1, op, grids, problem)
         raise
     return times
@@ -162,9 +174,12 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     g_new = np.empty((nt, ni))
     stop_reason = "k_max"
     iterations = 0
-    bounds = _block_bounds(nt, threads)
-    with _workers(op, grids, problem, len(bounds)) as pool:
+    with _workers(op, grids, problem, min(threads, nt)) as pool:
         for k in range(k_max):
+            # intervals 0..s-1 start from the nodes the previous stage saw,
+            # so their entries of f_old stand (see the module docstring)
+            s = min(k, nt - 1)
+            bounds = [(s + lo, s + hi) for lo, hi in _block_bounds(nt - s, threads)]
             block_seconds.append(
                 _parallel_stage(u_curr, g_old, f_old, op, grids, problem, bounds, pool))
 

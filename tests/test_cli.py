@@ -183,6 +183,24 @@ class TestBenchCommand:
         assert all(float(row[7]) > 0.0 for row in rows)  # speedup column
 
 
+    def test_t_final_from_config(self, tmp_path, monkeypatch):
+        import parafrac.harness as harness
+
+        built = []
+        get_problem = harness.get_problem
+
+        def recording_get_problem(*args, **kwargs):
+            built.append(get_problem(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "get_problem", recording_get_problem)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[run]\nt_final = 2\n")
+        assert main(["bench", "--config", str(cfg_path), "--problem", "zero", "--n", "4",
+                     "--m", "2", "--sweep", "8", "--reps", "1", "--threads", "1",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert [p.t_final for p in built] == [2.0]
+
     def test_integer_columns_match_bench_point(self, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["bench", "--problem", "paper42", "--n", "8", "--m", "4",

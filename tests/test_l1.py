@@ -38,6 +38,14 @@ class TestWeights:
             l1_weight(1.0, 0.0)
         with pytest.raises(ValueError):
             l1_weight(1.0, 1.5)
+        # the weight grid applies the count rule to both arguments: floats and
+        # bool raise ValueError and leave nothing in the cache; numpy integers pass
+        wt = FractionalWeights(0.5)
+        for denom, count in ((1, 2.5), (1.5, 4), (True, 3), (0, 3), (1, 0)):
+            with pytest.raises(ValueError, match="positive integers"):
+                wt.on_grid(denom, count)
+        assert wt._grids == {}
+        assert np.array_equal(wt.on_grid(np.int64(2), np.int32(5)), wt.on_grid(2, 5))
 
     def test_alpha_one_collapse(self):
         w = weights_for(1.0).on_grid(1, 50)

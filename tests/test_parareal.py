@@ -21,6 +21,7 @@ from parafrac import (
 from parafrac.l1 import gamma_2_minus
 from parafrac.parareal import _block_bounds, _solve
 from parafrac.spectral import l2_norm
+from parafrac.stepping import fine_sweep_intervals
 
 from conftest import make_problem
 
@@ -179,14 +180,17 @@ class TestDeterminism:
 
 class TestWorkerProcesses:
     def test_block_seconds_per_iteration_and_block(self, op16, paper42):
-        grids = TimeGrids(1.0, 8, 4)
-        for threads in (1, 2, 3):
-            _, report = parareal_solve(paper42, op16, grids, tol=1e-10, k_max=4,
+        # iteration k splits intervals min(k, nt-1)..nt-1 into blocks; on
+        # nt=4 they run out before the three processes do
+        for nt, threads in ((8, 1), (8, 2), (8, 3), (4, 3)):
+            grids = TimeGrids(1.0, nt, 4)
+            _, report = parareal_solve(paper42, op16, grids, tol=1e-10, k_max=6,
                                        threads=threads)
-            blocks = len(_block_bounds(grids.nt, threads))
-            assert len(report.block_seconds) == report.iterations
-            assert all(len(times) == blocks for times in report.block_seconds)
+            blocks = [len(_block_bounds(nt - min(k, nt - 1), threads))
+                      for k in range(report.iterations)]
+            assert [len(times) for times in report.block_seconds] == blocks
             assert all(t > 0.0 for times in report.block_seconds for t in times)
+        assert blocks[-1] < threads
 
     def test_correction_seconds_per_iteration(self, op16, paper42):
         grids = TimeGrids(1.0, 8, 4)
@@ -238,6 +242,36 @@ class TestWorkerProcesses:
             assert np.array_equal(pair[0].states, pair[1].states)
             results.append(pair[1].states)
         assert not np.array_equal(results[0], results[1])
+
+
+class TestConvergedPrefix:
+    def test_iteration_k_marches_from_interval_k(self, op8, paper42, monkeypatch):
+        marched = []
+
+        def recording_sweep(u_nodes, lo, hi, *args):
+            marched.append((lo, hi))
+            return fine_sweep_intervals(u_nodes, lo, hi, *args)
+
+        monkeypatch.setattr("parafrac.parareal.fine_sweep_intervals", recording_sweep)
+        grids = TimeGrids(1.0, 5, 2)
+        _solve(paper42, op8, grids, tol=None, k_max=7, threads=1, reference=None)
+        assert marched == [(min(k, grids.nt - 1), grids.nt) for k in range(7)]
+
+    @pytest.mark.parametrize("nt, m, k_max", [(8, 4, 1), (8, 4, 3), (6, 3, 5), (4, 4, 6)])
+    def test_kept_endpoints_equal_a_full_sweep(self, op8, paper42, nt, m, k_max):
+        # the endpoints kept from earlier stages are the ones a sweep of all
+        # intervals from the last iterate's states would give, bit for bit
+        grids = TimeGrids(1.0, nt, m)
+        if k_max == 1:
+            previous = run_coarse(paper42, op8, grids)
+        else:
+            previous = _solve(paper42, op8, grids, tol=None, k_max=k_max - 1, threads=1,
+                              reference=None)[0].states
+        want = fine_sweep_intervals(previous, 0, nt, op8, grids, paper42)
+        for threads in (1, 3, 8):
+            iterate, _ = _solve(paper42, op8, grids, tol=None, k_max=k_max, threads=threads,
+                                reference=None)
+            assert np.array_equal(iterate.fine_endpoints, want), threads
 
 
 class TestDivergenceGuard:

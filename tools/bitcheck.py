@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Check that two source trees of parafrac compute the same bits.
+
+Usage, from anywhere::
+
+    python3 tools/bitcheck.py PARENT_SRC CHANGE_SRC
+
+Each argument is a checkout of the repository (or its ``src`` directory).
+Every tree runs in its own subprocess, which imports ``parafrac`` from that
+tree, runs the solvers on a fixed list of configurations and saves every
+result array with ``np.savez``.  The two archives are then compared with
+``np.array_equal``: the script prints the number of arrays, and on the
+first mismatch its name and largest absolute difference, and exits 1.
+
+Covered: ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
+``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
+``fine_sweep_intervals`` (all intervals, and 1..nt-2) and
+``parareal_solve`` at threads 1, 2, 3 and 8 (states, the three caches,
+diffs, errors against the reference and the iteration count).  BLAS is
+pinned to one thread in the subprocesses.  Only numpy and the standard
+library are used; a run takes a minute or two on a 2-vCPU host.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+THREADS = (1, 2, 3, 8)
+
+# (label, problem, degree, nt, m, tol, k_max); tol None runs a fixed k_max
+CONFIGS = (
+    ("quasilinear-8k", "paper42", 16, 256, 32, 1e-10, 25),
+    ("long-history-16k", "paper42", 8, 32, 512, 1e-10, 25),
+    ("wide-linear-2k", "linear-heat", 64, 64, 32, 1e-10, 25),
+    ("paper42-n16-nt30-m6", "paper42", 16, 30, 6, 1e-10, 25),
+    ("linear-heat-n12-nt7-m5", "linear-heat", 12, 7, 5, 1e-10, 25),
+    ("paper42-n8-nt4-m4-k6", "paper42", 8, 4, 4, None, 6),
+)
+
+
+def _dump(out):
+    """Run every configuration with the ``parafrac`` on ``sys.path``; save to ``out``."""
+    import parafrac as pf
+    from parafrac.parareal import _solve
+    from parafrac.stepping import fine_sweep_intervals
+
+    arrays = {}
+    for label, name, degree, nt, m, tol, k_max in CONFIGS:
+        problem = pf.get_problem(name)
+        op = pf.build_operator(degree, problem.a, problem.b)
+        grids = pf.TimeGrids(problem.t_final, nt, m)
+        coarse = pf.run_coarse(problem, op, grids)
+        reference, _ = pf.run_fine_sequential(problem, op, grids)
+        arrays[f"{label}:run_coarse"] = coarse
+        arrays[f"{label}:run_fine_sequential"] = reference
+        arrays[f"{label}:chain_fine"] = pf.chain_fine(problem, op, grids)
+        for n in sorted({0, min(1, nt - 1), nt // 2, nt - 1}):
+            end, path = pf.fine_propagate(coarse[n], coarse[: n + 1], op, grids, problem)
+            arrays[f"{label}:fine_propagate:{n}:endpoint"] = end
+            arrays[f"{label}:fine_propagate:{n}:path"] = path
+        arrays[f"{label}:fine_sweep_intervals:all"] = fine_sweep_intervals(
+            coarse, 0, nt, op, grids, problem)
+        if nt > 2:
+            arrays[f"{label}:fine_sweep_intervals:inner"] = fine_sweep_intervals(
+                coarse, 1, nt - 1, op, grids, problem)
+        for threads in THREADS:
+            if tol is None:
+                iterate, report = _solve(problem, op, grids, None, k_max, threads, reference)
+            else:
+                iterate, report = pf.parareal_solve(problem, op, grids, tol=tol, k_max=k_max,
+                                                    threads=threads, reference=reference)
+            key = f"{label}:parareal:t{threads}"
+            arrays[f"{key}:states"] = iterate.states
+            arrays[f"{key}:coarse_new"] = iterate.coarse_new
+            arrays[f"{key}:coarse_old"] = iterate.coarse_old
+            arrays[f"{key}:fine_endpoints"] = iterate.fine_endpoints
+            arrays[f"{key}:diffs"] = np.array(report.diffs)
+            arrays[f"{key}:errors_vs_reference"] = np.array(report.errors_vs_reference)
+            arrays[f"{key}:iterations"] = np.array(report.iterations)
+        print(f"  {label}: done", file=sys.stderr, flush=True)
+    np.savez(out, **arrays)
+
+
+def _src_dir(tree):
+    tree = Path(tree).resolve()
+    return tree / "src" if (tree / "src" / "parafrac").is_dir() else tree
+
+
+def _run(tree, out):
+    src = _src_dir(tree)
+    if not (src / "parafrac").is_dir():
+        sys.exit(f"no parafrac package under {tree}")
+    print(f"running {src}", file=sys.stderr, flush=True)
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import bitcheck; bitcheck._dump({out!r})"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return np.load(out)
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _run(argv[0], os.path.join(tmp, "parent.npz"))
+        new = _run(argv[1], os.path.join(tmp, "change.npz"))
+        if set(old.files) != set(new.files):
+            print(f"array names differ: {sorted(set(old.files) ^ set(new.files))}")
+            return 1
+        for name in old.files:
+            a, b = old[name], new[name]
+            if not np.array_equal(a, b):
+                gap = np.abs(a - b).max() if a.shape == b.shape else f"shapes {a.shape} vs {b.shape}"
+                print(f"MISMATCH {name}: largest absolute difference {gap}")
+                return 1
+        print(f"{len(old.files)} arrays np.array_equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
