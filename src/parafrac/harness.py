@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .l1 import TimeGrids, caputo_power, discrete_caputo_hybrid
+from .l1 import TimeGrids, _is_integer, caputo_power, discrete_caputo_hybrid
 from .parareal import parareal_solve
 from .problems import get_problem
 from .spectral import build_operator
@@ -73,7 +73,7 @@ def _best_time(fn, reps, warmup):
     for _ in range(warmup):
         result = fn()
     best = float("inf")
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         t0 = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - t0)
@@ -97,10 +97,15 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
     recorded); ``alpha`` and ``t_final`` override the builtin problem's
     order and horizon.  Timing is the minimum over ``reps`` repetitions after
     ``warmup`` discarded runs; the memory pass runs separately so tracing
-    does not pollute the timings.
+    does not pollute the timings.  ``dof``, ``m`` and ``reps`` must be
+    positive integers and ``warmup`` a nonnegative one.
     """
-    m_eff = max(1, min(m, dof))
-    nt = max(1, dof // m_eff)
+    counts = (("dof", dof, 1), ("m", m, 1), ("reps", reps, 1), ("warmup", warmup, 0))
+    for name, count, least in counts:
+        if not _is_integer(count) or count < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+    m_eff = min(m, dof)
+    nt = dof // m_eff
     problem = get_problem(problem_name, alpha=alpha, t_final=t_final)
     op = build_operator(degree, problem.a, problem.b)
     grids = TimeGrids(problem.t_final, nt, m_eff)

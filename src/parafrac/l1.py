@@ -52,20 +52,25 @@ def _step_factor(width, alpha):
     return width**alpha * gamma_2_minus(alpha)
 
 
-def l1_weight(x, alpha):
-    """L1 weight ``b_x = (x+1)^(1-alpha) - x^(1-alpha)`` for real index ``x >= 0``.
+def _weight(x, alpha):
+    """``b_x = (x+1)^(1-alpha) - x^(1-alpha)`` for a float or an array ``x``, unchecked.
 
     ``alpha == 1`` short-circuits the power formula (which degenerates to
     ``0^0``): ``b_0 = 1`` and every other weight is exactly zero, so the
     backward-difference limit holds without round-off.
     """
+    if alpha == 1.0:
+        return (x == 0) * 1.0
+    e = 1.0 - alpha
+    return (x + 1.0) ** e - x ** e
+
+
+def l1_weight(x, alpha):
+    """L1 weight ``b_x`` for real index ``x >= 0``; see :func:`_weight`."""
     if x < 0:
         raise ValueError(f"weight index must be nonnegative, got {x}")
     _check_alpha(alpha)
-    if alpha == 1.0:
-        return 1.0 if x == 0.0 else 0.0
-    e = 1.0 - alpha
-    return (x + 1.0) ** e - x ** e
+    return _weight(x, alpha)
 
 
 @dataclass(frozen=True)
@@ -129,48 +134,24 @@ class FractionalWeights:
         arr = self._grids.get(denom)
         if arr is None or arr.shape[0] < count:
             size = max(count, 64, 0 if arr is None else 2 * arr.shape[0])
-            x = np.arange(size, dtype=float) / denom
-            if self.alpha == 1.0:
-                new = np.zeros(size)
-                new[0] = 1.0
-            else:
-                e = 1.0 - self.alpha
-                new = (x + 1.0) ** e - x ** e
+            new = _weight(np.arange(size, dtype=float) / denom, self.alpha)
             new.setflags(write=False)
             self._grids[denom] = new
             arr = new
         return arr[:count]
 
     def fine_rows(self, m):
-        """Per-substep weight rows for marching one interval.
+        """Iterator over the per-substep weight rows for marching one interval.
 
-        ``rows[r-1]`` has length ``r``: entry 0 multiplies the interval
-        start, entry ``j`` multiplies the ``j``-th fine state.  Built per
-        call from O(m) work and storage: every row but its first entry is a
-        suffix of one telescoped tail, so rows are built on access.
+        Row ``r = 1..m`` is ``_telescoped(b, r-1)`` of length ``r``: entry 0
+        multiplies the interval start, entry ``j`` the ``j``-th fine state.
+        Every row but its first entry is a suffix of one telescoped tail,
+        built here, so each row is built as the march reaches it and a
+        march holds O(m) floats of weights.
         """
         b = self.on_grid(1, m)
-        return _FineRows(b, _telescoped(b, m - 1)[1:])
-
-
-class _FineRows:
-    """``rows[r-1] == _telescoped(b, r-1)``, built as ``[b_{r-1}, *tail[m-r:]]``."""
-
-    __slots__ = ("_b", "_tail")
-
-    def __init__(self, b, tail):
-        self._b = b
-        self._tail = tail
-
-    def __len__(self):
-        return self._b.shape[0]
-
-    def __getitem__(self, i):
-        r = range(1, len(self) + 1)[i]  # IndexError ends iteration
-        w = np.empty(r)
-        w[0] = self._b[r - 1]
-        w[1:] = self._tail[len(self) - r :]
-        return w
+        tail = _telescoped(b, m - 1)[1:]
+        return (np.concatenate((b[r - 1 : r], tail[m - r :])) for r in range(1, m + 1))
 
 
 def _telescoped(b, n):

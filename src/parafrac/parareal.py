@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ParafracError
+from .errors import DivergenceError
 from .l1 import _is_integer
 from .spectral import l2_norm
 from .stepping import chain_fine, coarse_step, fine_sweep_intervals, run_coarse
@@ -127,28 +127,24 @@ def _parallel_stage(u_nodes, g_old, f_old, op, grids, problem, bounds, pool):
     """Fill ``f_old`` and ``g_old`` from ``u_nodes``; returns the block times.
 
     ``pool`` marches blocks ``bounds[1:]`` while the caller marches
-    ``bounds[0]`` and then all coarse steps.  On a failure the caller
-    marches the stage's intervals, ``bounds[0][0]..nt-1``, again one at a
-    time, so the error raised is the first failing interval at its first
-    failing substep, as :func:`~parafrac.stepping.chain_fine` reports it,
-    for any thread count; the intervals before them marched without error
-    in an earlier stage from the same nodes.  A coarse-step error stands
-    only if no fine interval fails.
+    ``bounds[0]`` and then all coarse steps.  Each block's sweep names its
+    first failing interval at its first failing substep (see
+    :func:`~parafrac.stepping.fine_sweep_intervals`), and the blocks are
+    collected in order, so the error raised is the one earliest in time, as
+    :func:`~parafrac.stepping.chain_fine` reports it, for any thread count.
+    A coarse-step error stands only if every block succeeded.
     """
     futures = [pool.submit(_worker_sweep, u_nodes, lo, hi) for lo, hi in bounds[1:]]
+    lo, hi = bounds[0]
+    f_old[lo:hi], seconds = _sweep(u_nodes, lo, hi, op, grids, problem)
+    times = [seconds]
     try:
-        lo, hi = bounds[0]
-        f_old[lo:hi], seconds = _sweep(u_nodes, lo, hi, op, grids, problem)
-        times = [seconds]
         for n in range(grids.nt):
             g_old[n] = coarse_step(u_nodes[: n + 1], op, grids, problem)
+    finally:
         for (lo, hi), fut in zip(bounds[1:], futures):
             f_old[lo:hi], seconds = fut.result()
             times.append(seconds)
-    except ParafracError:
-        for n in range(bounds[0][0], grids.nt):
-            fine_sweep_intervals(u_nodes, n, n + 1, op, grids, problem)
-        raise
     return times
 
 
@@ -161,26 +157,21 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     # blow-up guard scale; a zero initial state falls back to an absolute scale
     guard = DIVERGENCE_FACTOR * max(l2_norm(op, u_curr[0]), 1.0)
 
-    diffs = []
-    times = []
-    block_seconds = []
-    correction_seconds = []
-    errors = None
+    report = PararealReport(iterations=0, diffs=[], stop_reason="k_max", threads=threads,
+                            wall_time=0.0)
     if reference is not None:
-        errors = [l2_norm(op, u_curr[nt] - reference[nt])]
+        report.errors_vs_reference = [l2_norm(op, u_curr[nt] - reference[nt])]
 
     g_old = np.empty((nt, ni))
     f_old = np.empty((nt, ni))
     g_new = np.empty((nt, ni))
-    stop_reason = "k_max"
-    iterations = 0
     with _workers(op, grids, problem, min(threads, nt)) as pool:
         for k in range(k_max):
             # intervals 0..s-1 start from the nodes the previous stage saw,
             # so their entries of f_old stand (see the module docstring)
             s = min(k, nt - 1)
             bounds = [(s + lo, s + hi) for lo, hi in _block_bounds(nt - s, threads)]
-            block_seconds.append(
+            report.block_seconds.append(
                 _parallel_stage(u_curr, g_old, f_old, op, grids, problem, bounds, pool))
 
             sweep_t0 = time.perf_counter()
@@ -189,7 +180,7 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
             for n in range(nt):
                 g_new[n] = coarse_step(u_next[: n + 1], op, grids, problem)
                 u_next[n + 1] = f_old[n] + (g_new[n] - g_old[n])
-            correction_seconds.append(time.perf_counter() - sweep_t0)
+            report.correction_seconds.append(time.perf_counter() - sweep_t0)
 
             if not np.isfinite(u_next).all():
                 bad = int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])
@@ -200,35 +191,18 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
                 raise DivergenceError(k, bad, "state norm exceeds divergence guard")
 
             diff = max(l2_norm(op, u_next[n] - u_curr[n]) for n in range(nt + 1))
-            diffs.append(diff)
-            times.append(time.perf_counter() - t0)
-            if errors is not None:
-                errors.append(l2_norm(op, u_next[nt] - reference[nt]))
+            report.diffs.append(diff)
+            report.iteration_times.append(time.perf_counter() - t0)
+            if reference is not None:
+                report.errors_vs_reference.append(l2_norm(op, u_next[nt] - reference[nt]))
             u_curr = u_next
-            iterations = k + 1
+            report.iterations = k + 1
             if tol is not None and diff < tol:
-                stop_reason = "tol"
+                report.stop_reason = "tol"
                 break
 
-    iterate = PararealIterate(
-        k=iterations,
-        states=u_curr,
-        coarse_new=g_new,
-        coarse_old=g_old,
-        fine_endpoints=f_old,
-    )
-    report = PararealReport(
-        iterations=iterations,
-        diffs=diffs,
-        stop_reason=stop_reason,
-        threads=threads,
-        wall_time=time.perf_counter() - t0,
-        iteration_times=times,
-        errors_vs_reference=errors,
-        block_seconds=block_seconds,
-        correction_seconds=correction_seconds,
-    )
-    return iterate, report
+    report.wall_time = time.perf_counter() - t0
+    return PararealIterate(report.iterations, u_curr, g_new, g_old, f_old), report
 
 
 def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference=None):

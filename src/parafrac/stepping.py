@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import SolverFailure
+from .errors import ParafracError, SolverFailure
 from .l1 import _step_factor, _telescoped, weights_for
 from .spectral import assemble_diffusion
 
@@ -87,18 +87,17 @@ def _lu_solve_checked(system, rhs, step):
 def _stacked_solve(systems, rhs, step):
     """Stacked solve without a pivot check; ``step = (intervals, r)``.
 
-    A failure names the first failing interval, not the block it is in.
+    A failure names ``(intervals[0], r)``, the first interval of the stack,
+    which is exact for a one-interval stack; :func:`fine_sweep_intervals`
+    lets no other label through.
     """
-    intervals, r = step
+    label = (step[0][0], step[1])
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        # numpy does not say which system failed; an exact zero pivot has sign 0
-        bad = int(np.argmin(np.abs(np.linalg.slogdet(systems)[0])))
-        raise SolverFailure((intervals[bad], r), f"fine-sweep solve failed: {exc}") from exc
+        raise SolverFailure(label, f"fine-sweep solve failed: {exc}") from exc
     if not np.isfinite(out).all():
-        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise SolverFailure((intervals[bad], r), "non-finite solution in fine sweep")
+        raise SolverFailure(label, "non-finite solution in fine sweep")
     return out
 
 
@@ -212,7 +211,6 @@ def _march(start, hist, n, op, grids, problem, solve):
     m = grids.m
     alpha = problem.alpha
     wt = weights_for(alpha)
-    rows = wt.fine_rows(m)
     paths = np.empty((m + 1,) + start.shape)
     paths[0] = start
     if isinstance(n, range):
@@ -225,8 +223,8 @@ def _march(start, hist, n, op, grids, problem, solve):
     gam = _step_factor(grids.dt, problem.alpha)
 
     flat = paths.reshape(m + 1, -1)
-    for r in range(1, m + 1):
-        history = np.einsum("j,jk->k", rows[r - 1], flat[:r]).reshape(start.shape)
+    for r, row in enumerate(wt.fine_rows(m), 1):
+        history = np.einsum("j,jk->k", row, flat[:r]).reshape(start.shape)
         paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
                          history, paths[r], solve, (n, r))
     return paths
@@ -262,16 +260,23 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     The same interval march as :func:`fine_propagate`, on a stack of
     intervals with one stacked solve per substep.  Results do not depend on
     how intervals are grouped, which keeps the parallel driver deterministic
-    for any thread count.  A failure names the first failing interval at the
-    earliest failing substep of this group, so when several intervals fail
-    the report depends on the grouping.
+    for any thread count.  When a stack of several intervals fails, they are
+    marched again one at a time, in order, so a failure names the first
+    failing interval at its first failing substep, as :func:`chain_fine`
+    reports it, however the intervals are grouped.
     """
     U = np.asarray(u_nodes)
     if U.ndim != 2 or U.shape[1] != op.interior_size:
         raise ValueError("u_nodes must be a stack of interior-node states")
     if not 0 <= n_lo < n_hi < U.shape[0]:
         raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
-    paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
+    try:
+        paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
+    except ParafracError:
+        if n_hi - n_lo > 1:
+            for n in range(n_lo, n_hi):
+                fine_sweep_intervals(U, n, n + 1, op, grids, problem)
+        raise
     return paths[-1].copy()
 
 

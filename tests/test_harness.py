@@ -118,6 +118,16 @@ class TestBench:
                           measure_memory=False)
         assert rec.m == 8 and rec.nt == 1
 
+    def test_bad_counts_rejected(self):
+        # rejected, not clamped to 1 dof, 1 rep, m = 1 or no warm-up
+        for kwargs in ({"dof": 0}, {"dof": -5}, {"dof": 8.0}, {"reps": 0}, {"reps": -3},
+                       {"reps": True}, {"m": 0}, {"m": -3}, {"m": 2.5}, {"warmup": -2},
+                       {"warmup": 1.0}):
+            args = {"dof": 16, "degree": 8, "m": 4, "reps": 1, "warmup": 0,
+                    "measure_memory": False, **kwargs}
+            with pytest.raises(ValueError):
+                bench_point("paper42", args.pop("dof"), **args)
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             bench_sweep("paper42", ())

@@ -90,23 +90,25 @@ class TestWeights:
             assert grid[q] == l1_weight(q / 4, 0.7)
 
     def test_fine_rows_shapes(self):
-        rows = FractionalWeights(0.5).fine_rows(6)
+        rows = list(FractionalWeights(0.5).fine_rows(6))
         assert [len(r) for r in rows] == [1, 2, 3, 4, 5, 6]
         assert rows[0][0] == 1.0  # b_0 multiplies the start at r = 1
         for m in (1, 6, 33):
             wt = FractionalWeights(0.5)
-            rows = wt.fine_rows(m)
+            rows = list(wt.fine_rows(m))
             b = wt.on_grid(1, m)
             assert len(rows) == m
             for r in range(1, m + 1):
                 assert np.array_equal(rows[r - 1], _telescoped(b, r - 1)), (m, r)
-        # O(m) storage: the m rows together would take m(m+1)/2 floats, 16 MiB here
+        # O(m) storage: the m rows together would take m(m+1)/2 floats, 16 MiB
+        # here, and a march holds one row at a time
         tracemalloc.start()
         try:
-            FractionalWeights(0.5).fine_rows(2048)
+            count = sum(1 for _ in FractionalWeights(0.5).fine_rows(2048))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert count == 2048
         assert peak < 2**20
 
 

@@ -325,6 +325,33 @@ class TestFailureLocation:
         assert multiprocessing.active_children() == []
 
 
+    def test_coarse_step_error_stands_only_when_every_block_succeeds(self, op8, paper42,
+                                                                     monkeypatch):
+        def failing_coarse_step(*args):
+            raise SolverFailure(3, "injected coarse-step failure")
+
+        monkeypatch.setattr("parafrac.parareal.coarse_step", failing_coarse_step)
+        grids = TimeGrids(1.0, 8, 4)
+        for threads in (1, 2, 3, grids.nt):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(paper42, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == 3, threads
+            assert multiprocessing.active_children() == []
+
+        # interval 5 fails in a worker's block at threads 2, 3 and 8, and in the
+        # caller's before the coarse steps at threads 1; the fine error wins
+        def source(x, t, u):
+            return np.where((t > 5 / 8) & (t < 6 / 8), np.nan, 0.0) + 0.0 * u
+
+        prob = make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        for threads in (1, 2, 3, grids.nt):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == (5, 2), threads
+            assert multiprocessing.active_children() == []
+
+
 class TestNearSingularFineSystem:
     def test_guards_on_every_path(self, op8):
         # constant D = 1/(gamma_fine mu_1) makes I - gamma_fine D d2 singular

@@ -21,7 +21,7 @@ from parafrac import (
 from parafrac.errors import SolverFailure
 from parafrac.l1 import gamma_2_minus
 from parafrac.spectral import l2_norm
-from parafrac.stepping import _lu_solve_checked, _stacked_solve, fine_sweep_intervals
+from parafrac.stepping import _lu_solve_checked, fine_sweep_intervals
 
 from conftest import constant_initial_factory, make_problem
 from test_spectral import closed_form_d1
@@ -330,11 +330,22 @@ class TestSolverGuards:
                 _lu_solve_checked(singular, np.ones(3), step=5)
         assert err.value.step == 5
 
-    def test_stacked_solve_names_singular_system(self):
-        systems = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
-        with pytest.raises(SolverFailure) as err:
-            _stacked_solve(systems, np.ones((3, 3)), (range(4, 7), 2))
-        assert err.value.step == (5, 2)
+    def test_fine_sweep_names_first_failing_interval(self, op8):
+        # interval 2 fails from substep 4 and interval 6 from substep 2; every
+        # stack that holds interval 2 names it, as chain_fine does
+        def source(x, t, u):
+            bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
+            return np.where(bad, np.nan, 0.0) + 0.0 * u
+
+        prob = make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+        grids = TimeGrids(1.0, 8, 4)
+        traj = np.zeros((grids.nt + 1, op8.interior_size))
+        for lo, hi, want in ((0, 8, (2, 4)), (1, 8, (2, 4)), (2, 7, (2, 4)), (2, 3, (2, 4)),
+                             (3, 8, (6, 2)), (6, 7, (6, 2))):
+            with pytest.raises(SolverFailure) as err:
+                fine_sweep_intervals(traj, lo, hi, op8, grids, prob)
+            assert err.value.step == want, (lo, hi)
 
     def test_chain_fine_matches_manual_chaining(self, op8, paper42):
         grids = TimeGrids(1.0, 4, 2)

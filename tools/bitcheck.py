@@ -16,9 +16,14 @@ Covered: ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
 ``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
 ``fine_sweep_intervals`` (all intervals, and 1..nt-2) and
 ``parareal_solve`` at threads 1, 2, 3 and 8 (states, the three caches,
-diffs, errors against the reference and the iteration count).  BLAS is
-pinned to one thread in the subprocesses.  Only numpy and the standard
-library are used; a run takes a minute or two on a 2-vCPU host.
+diffs, errors against the reference and the iteration count).  Failure
+paths are covered too: on three failing problems (a NaN source inside one
+interval, NaN sources in two intervals, and a fine system that is singular
+up to rounding) the outcome of ``chain_fine``, ``run_fine_sequential`` and
+``parareal_solve`` at each thread count is saved as a string, the exception
+type with its location.  BLAS is pinned to one thread in the subprocesses.
+Only numpy and the standard library are used; a run takes a minute or two
+on a 2-vCPU host.
 """
 
 import os
@@ -43,6 +48,52 @@ CONFIGS = (
     ("linear-heat-n12-nt7-m5", "linear-heat", 12, 7, 5, 1e-10, 25),
     ("paper42-n8-nt4-m4-k6", "paper42", 8, 4, 4, None, 6),
 )
+
+
+def _failing_problems(pf):
+    """``(label, problem, op, grids)`` for the failing problems of the test suite."""
+    from parafrac.l1 import gamma_2_minus
+    from parafrac.problems import ProblemSpec
+
+    def sine(x):
+        return np.sin(np.pi * np.asarray(x))
+
+    def one_interval(x, t, u):  # NaN strictly inside interval 5 of 8
+        return np.where((t > 5 / 8) & (t < 6 / 8), np.nan, 0.0) + 0.0 * u
+
+    def two_intervals(x, t, u):  # interval 2 from substep 4, interval 6 from substep 2
+        bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
+        return np.where(bad, np.nan, 0.0) + 0.0 * u
+
+    def unit(x, t, u):
+        return 1.0
+
+    op = pf.build_operator(8, 0.0, 1.0)
+    grids = pf.TimeGrids(1.0, 8, 4)
+    # constant D = 1/(gamma_fine mu_1) makes the fine system singular up to rounding
+    near = pf.TimeGrids(1.0, 4, 4)
+    eig = np.linalg.eigvals(op.d2[1:-1, 1:-1])
+    mu1 = eig[np.argmin(np.abs(eig))].real
+    diff = 1.0 / (near.dt**0.5 * gamma_2_minus(0.5) * mu1)
+    return (
+        ("nan-one-interval", ProblemSpec(0.0, 1.0, 1.0, 0.5, unit, one_interval, sine), op,
+         grids),
+        ("nan-two-intervals", ProblemSpec(0.0, 1.0, 1.0, 0.5, unit, two_intervals, sine), op,
+         grids),
+        ("near-singular-fine", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: diff,
+                                           lambda x, t, u: 0.0, sine), op, near),
+    )
+
+
+def _outcome(fn):
+    """``"ok"``, or the exception type with the location fields it carries."""
+    try:
+        fn()
+    except Exception as exc:
+        where = [f"{name}={getattr(exc, name)!r}" for name in
+                 ("step", "iteration", "interval", "node_index") if hasattr(exc, name)]
+        return np.array(" ".join([type(exc).__name__, *where]))
+    return np.array("ok")
 
 
 def _dump(out):
@@ -85,6 +136,14 @@ def _dump(out):
             arrays[f"{key}:errors_vs_reference"] = np.array(report.errors_vs_reference)
             arrays[f"{key}:iterations"] = np.array(report.iterations)
         print(f"  {label}: done", file=sys.stderr, flush=True)
+    for label, problem, op, grids in _failing_problems(pf):
+        arrays[f"{label}:chain_fine"] = _outcome(lambda: pf.chain_fine(problem, op, grids))
+        arrays[f"{label}:run_fine_sequential"] = _outcome(
+            lambda: pf.run_fine_sequential(problem, op, grids))
+        for threads in THREADS:
+            arrays[f"{label}:parareal:t{threads}"] = _outcome(lambda: pf.parareal_solve(
+                problem, op, grids, tol=1e-10, k_max=3, threads=threads))
+        print(f"  {label}: done", file=sys.stderr, flush=True)
     np.savez(out, **arrays)
 
 
@@ -116,10 +175,14 @@ def main(argv):
         for name in old.files:
             a, b = old[name], new[name]
             if not np.array_equal(a, b):
+                if a.dtype.kind == "U" or b.dtype.kind == "U":
+                    print(f"MISMATCH {name}: {a} vs {b}")
+                    return 1
                 gap = np.abs(a - b).max() if a.shape == b.shape else f"shapes {a.shape} vs {b.shape}"
                 print(f"MISMATCH {name}: largest absolute difference {gap}")
                 return 1
-        print(f"{len(old.files)} arrays np.array_equal")
+        outcomes = sum(old[name].dtype.kind == "U" for name in old.files)
+        print(f"{len(old.files)} arrays np.array_equal ({outcomes} of them failure outcomes)")
     return 0
 
 
