@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .l1 import _is_integer, _step_factor, l1_weight
+from .l1 import _check_alpha, _is_integer, _step_factor, _weight
 
 __all__ = [
     "BoundParams",
@@ -62,7 +62,7 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "e0"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         _check_indices(self.n, self.k)
 
@@ -75,7 +75,7 @@ class LipschitzConstants:
     c_fine: float
 
     def __post_init__(self):
-        if self.c_coarse < 1.0 or self.c_fine < 1.0:
+        if not (self.c_coarse >= 1.0 and self.c_fine >= 1.0):
             raise ValueError("growth constants must be at least 1")
 
     @property
@@ -91,21 +91,32 @@ class LipschitzConstants:
         return self.c_coarse
 
 
+def _frozen_step(width, alpha, c_diff, l_f):
+    """``(s, 1 - l_f s)`` for the L1 step factor ``s`` of ``width``: the growth constants' rule.
+
+    A positive step, nonnegative constants, an order in (0, 1]
+    (``l1._check_alpha``) and ``l_f s < 1``; NaN fails every test.
+    """
+    if not width > 0:
+        raise ValueError("step must be positive")
+    if not (c_diff >= 0 and l_f >= 0):
+        raise ValueError("constants must be nonnegative")
+    _check_alpha(alpha)
+    s = _step_factor(width, alpha)
+    den = 1.0 - l_f * s
+    if not den > 0:
+        raise ValueError("time step too large for the given source Lipschitz constant")
+    return s, den
+
+
 def lipschitz_coarse(dT, alpha, c_diff=0.0, l_f=0.0):
     """Growth factor of one coarse step under history perturbations.
 
     ``c_diff`` absorbs the solution-dependence of the diffusion
     coefficient, ``l_f`` is the source Lipschitz constant; both vanish for
-    linear problems, giving the factor 1.
+    linear problems, giving the factor 1.  Inputs: the rule of :func:`_frozen_step`.
     """
-    if not dT > 0:
-        raise ValueError("step must be positive")
-    if c_diff < 0 or l_f < 0:
-        raise ValueError("constants must be nonnegative")
-    s = _step_factor(dT, alpha)
-    den = 1.0 - l_f * s
-    if den <= 0:
-        raise ValueError("time step too large for the given source Lipschitz constant")
+    s, den = _frozen_step(dT, alpha, c_diff, l_f)
     return math.sqrt((1.0 + c_diff * s) / den)
 
 
@@ -114,25 +125,19 @@ def lipschitz_fine(dT, dt, m, alpha, c_diff=0.0, l_f=0.0, r=None):
 
     Splits into a within-interval factor and a history coupling that decays
     like ``m^-alpha``; the endpoint ``r = m`` is the constant used when a
-    single number per interval is needed.
+    single number per interval is needed.  ``m`` and ``r`` follow the count
+    rule ``l1._is_integer``, ``dt`` and the constants the rule of
+    :func:`_frozen_step`, and ``dT`` must equal ``m dt``.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not (dt > 0 and dT > 0):
-        raise ValueError("steps must be positive")
-    if abs(dT - m * dt) > 1e-9 * dT:
+    if not (_is_integer(m) and m >= 1):
+        raise ValueError(f"substep count m must be an integer >= 1, got {m!r}")
+    r = m if r is None else r
+    if not (_is_integer(r) and 1 <= r <= m):
+        raise ValueError(f"substep r={r!r} must be an integer in 1..{m}")
+    s, den = _frozen_step(dt, alpha, c_diff, l_f)
+    if not abs(dT - m * dt) <= 1e-9 * dT:
         raise ValueError("grids disagree: dT must equal m * dt")
-    if r is None:
-        r = m
-    if not 1 <= r <= m:
-        raise ValueError(f"substep r={r} outside 1..{m}")
-    if c_diff < 0 or l_f < 0:
-        raise ValueError("constants must be nonnegative")
-    s = _step_factor(dt, alpha)
-    den = 1.0 - l_f * s
-    if den <= 0:
-        raise ValueError("time step too large for the given source Lipschitz constant")
-    history = math.sqrt(2.0 * l1_weight(r / m, alpha)) * float(m) ** (-alpha)
+    history = math.sqrt(2.0 * _weight(r / m, alpha)) * float(m) ** (-alpha)
     return (math.sqrt(1.0 + c_diff * s) + history) / math.sqrt(den)
 
 
@@ -229,7 +234,7 @@ def iteration_error_bound(consts, n, k, fine_err, coarse_err):
     empty and the bound reduces to ``c^(n-1) * coarse_err``.
     """
     _check_indices(n, k)
-    if fine_err < 0 or coarse_err < 0:
+    if not (fine_err >= 0 and coarse_err >= 0):
         raise ValueError("propagator errors must be nonnegative")
     a, b, c = consts.a, consts.b, consts.c
     mm = min(k, n)

@@ -75,8 +75,8 @@ class RunConfig:
             raise ValueError(f"unknown test function {self.function!r}")
         if any(d < 1 for d in self.sweep):
             raise ValueError("sweep entries must be positive integers")
-        if self.bound_n < 0:
-            raise ValueError("bounds table depth bound_n must be at least 0")
+        # the bounds settings, by their owner's rule (k = 0 is always in range)
+        BoundParams(self.bound_a, self.bound_b, self.bound_c, self.bound_n, 0)
         return self
 
 
@@ -88,8 +88,7 @@ def _value_type(hint):
 
 # field name -> (value type, whether the field may be None)
 _FIELD_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
+_BOOL_WORDS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _int_tuple(text):

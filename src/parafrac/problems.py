@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .l1 import _check_alpha
+
 __all__ = ["ProblemSpec", "get_problem", "registry_names"]
 
 BOUNDARY_TOL = 1e-12
@@ -45,8 +47,7 @@ class ProblemSpec:
             raise ValueError(f"invalid interval [{self.a}, {self.b}]")
         if not self.t_final > 0:
             raise ValueError(f"final time must be positive, got {self.t_final}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         for endpoint in (self.a, self.b):
             if abs(float(self.initial(endpoint))) > BOUNDARY_TOL:
                 raise ValueError(

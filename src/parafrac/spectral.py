@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientError
+from .l1 import _is_integer
 
 __all__ = [
     "SpectralOperator",
@@ -30,16 +31,13 @@ def clenshaw_curtis_weights(degree):
     Exact for polynomials up to the collocation degree; the weights sum
     to the interval length 2.
     """
-    if degree < 1:
-        raise ValueError("need at least two quadrature nodes")
+    if not (_is_integer(degree) and degree >= 1):
+        raise ValueError(f"degree must be an integer >= 1 (two quadrature nodes), got {degree!r}")
     n = degree
     j = np.arange(n + 1)
     ks = np.arange(1, n // 2 + 1)
-    if ks.size:
-        bcoef = np.where(2 * ks == n, 0.5, 1.0) * (2.0 / (4.0 * ks**2 - 1.0))
-        w = (2.0 / n) * (1.0 - np.cos(2.0 * np.pi * np.outer(j, ks) / n) @ bcoef)
-    else:
-        w = np.full(n + 1, 2.0 / n)
+    bcoef = np.where(2 * ks == n, 0.5, 1.0) * (2.0 / (4.0 * ks**2 - 1.0))
+    w = (2.0 / n) * (1.0 - np.cos(2.0 * np.pi * np.outer(j, ks) / n) @ bcoef)
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -79,10 +77,10 @@ def build_operator(degree, a, b):
     diagonal is the negative row sum, which enforces the zero-derivative-of-
     constants identity to round-off.  The reference matrix is scaled by
     ``2/(b - a)``, so physical-interval operators are exact rescalings of
-    the reference one.
+    the reference one.  ``degree`` follows the count rule ``l1._is_integer``.
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2 so interior nodes exist")
+    if not (_is_integer(degree) and degree >= 2):
+        raise ValueError(f"degree must be an integer >= 2 so interior nodes exist, got {degree!r}")
     if not a < b:
         raise ValueError(f"invalid interval [{a}, {b}]")
     j = np.arange(degree + 1)

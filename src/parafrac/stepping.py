@@ -123,7 +123,7 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     return solve(system, rhs, step)
 
 
-def _full_step(states, n, b, tail, op, problem, width, gam, step):
+def _full_step(states, n, b, tail, op, problem, width, gam):
     """State at node ``n + 1`` from nodes ``0..n``; history ``b_n U_0 + tail[-n:] @ U[1..n]``.
 
     ``tail`` is ``_telescoped(b, N)[1:]`` for any ``N >= n``.
@@ -131,8 +131,7 @@ def _full_step(states, n, b, tail, op, problem, width, gam, step):
     history = b[n] * states[0]
     if n:
         history += tail[-n:] @ states[1 : n + 1]
-    return _step(op, problem, states[n], n * width, gam, history, None,
-                 _lu_solve_checked, step)
+    return _step(op, problem, states[n], n * width, gam, history, None, _lu_solve_checked, n)
 
 
 def _full_march(problem, op, width, count):
@@ -143,7 +142,7 @@ def _full_march(problem, op, width, count):
     states = np.empty((count + 1, op.interior_size))
     states[0] = initial_state(problem, op)
     for n in range(count):
-        states[n + 1] = _full_step(states, n, b, tail, op, problem, width, gam, n)
+        states[n + 1] = _full_step(states, n, b, tail, op, problem, width, gam)
     return states
 
 
@@ -169,7 +168,7 @@ def coarse_step(history, op, grids, problem):
     n = states.shape[0] - 1
     b = weights_for(problem.alpha).on_grid(1, n + 1)
     return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT,
-                      _step_factor(grids.dT, problem.alpha), n)
+                      _step_factor(grids.dT, problem.alpha))
 
 
 def run_coarse(problem, op, grids):
@@ -188,9 +187,6 @@ def _coarse_contribution(wt, hist, n, m, alpha, out):
     ``b_{(n-i)m+r over m}`` is a plain reshape of the cached weight grid, so
     the whole bracket is one matrix product.
     """
-    if n == 0:
-        out[...] = 0.0
-        return
     bq = wt.on_grid(m, n * m + 1)
     picks = bq[1 : n * m + 1].reshape(n, m)  # picks[j, r-1] = b_{(j m + r)/m}
     increments = hist[1:] - hist[:-1]

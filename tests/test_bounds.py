@@ -42,6 +42,11 @@ class TestLipschitzCoarse:
         with pytest.raises(ValueError):
             lipschitz_coarse(0.25, alpha, l_f=1.0 / s)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_order_checked(self, alpha):
+        with pytest.raises(ValueError, match="fractional order"):
+            lipschitz_coarse(0.1, alpha, c_diff=1.0)
+
 
 class TestLipschitzFine:
     def test_single_substep_value(self):
@@ -58,6 +63,14 @@ class TestLipschitzFine:
     def test_grid_consistency_checked(self):
         with pytest.raises(ValueError):
             lipschitz_fine(1.0, 0.3, 2, 0.5)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((0.5, 0.2, 2.5, 0.5), {}),
+        ((0.1, 0.05, 2, 0.5), {"r": 1.5}),
+    ])
+    def test_counts_follow_count_rule(self, args, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            lipschitz_fine(*args, **kwargs)
 
     def test_endpoint_default(self):
         assert lipschitz_fine(0.5, 0.125, 4, 0.5) == lipschitz_fine(0.5, 0.125, 4, 0.5, r=4)
@@ -253,3 +266,26 @@ class TestIterationErrorBound:
                 exact = gronwall_brute(p)
                 bound = iteration_error_bound(consts, n, k, fine_err, coarse_err)
                 assert bound >= exact - 1e-12, (n, k)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BoundParams(NAN, 1.0, 1.0, 3, 1),
+    lambda: BoundParams(1.0, NAN, 1.0, 3, 1),
+    lambda: BoundParams(1.0, 1.0, NAN, 3, 1),
+    lambda: BoundParams(1.0, 1.0, 1.0, 3, 1, e0=NAN),
+    lambda: LipschitzConstants(NAN, 1.0),
+    lambda: LipschitzConstants(1.0, NAN),
+    lambda: lipschitz_coarse(0.1, 0.5, c_diff=NAN),
+    lambda: lipschitz_coarse(0.1, 0.5, l_f=NAN),
+    lambda: lipschitz_fine(0.1, 0.05, 2, 0.5, c_diff=NAN),
+    lambda: lipschitz_fine(0.1, 0.05, 2, 0.5, l_f=NAN),
+    lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 1, NAN, 0.1),
+    lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 1, 0.1, NAN),
+], ids=["a", "b", "c", "e0", "c_coarse", "c_fine", "coarse-c_diff", "coarse-l_f",
+        "fine-c_diff", "fine-l_f", "fine_err", "coarse_err"])
+def test_nan_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()

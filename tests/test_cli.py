@@ -245,12 +245,22 @@ class TestBadSweepOrDepth:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--n", "-1"],
         ["truncation", "--m", "2", "--sweep", "3"],
+        ["bounds", "--b", "nan"],
     ])
     def test_exits_2_without_csv(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", ["bound_n = 0", "bound_n = 513", "bound_c = nan"])
+    def test_bad_bound_setting_stops_any_command(self, tmp_path, capsys, setting):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[run]\n{setting}\n")
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        assert not out.exists()
 
 
 class TestTruncationCommand:

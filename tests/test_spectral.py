@@ -81,6 +81,16 @@ class TestBuildOperator:
         with pytest.raises(ValueError):
             build_operator(8, 1.0, 1.0)
 
+    @pytest.mark.parametrize("degree", [8.0, 8.5, True])
+    def test_degree_follows_count_rule(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            build_operator(degree, 0.0, 1.0)
+
+    def test_numpy_integer_degree_accepted(self):
+        op = build_operator(np.int64(8), 0.0, 1.0)
+        assert op.interior_size == 7
+        assert np.array_equal(op.d2, build_operator(8, 0.0, 1.0).d2)
+
     def test_arrays_are_readonly(self):
         op = build_operator(6, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -98,6 +108,13 @@ class TestQuadrature:
     def test_weights_nonnegative(self):
         for degree in (2, 9, 16, 64):
             assert clenshaw_curtis_weights(degree).min() >= 0.0
+
+    def test_degree_follows_count_rule(self):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            clenshaw_curtis_weights(4.5)
+
+    def test_degree_one_is_trapezoid(self):
+        assert np.array_equal(clenshaw_curtis_weights(1), [1.0, 1.0])
 
     def test_polynomial_integration(self):
         w = clenshaw_curtis_weights(8)

@@ -9,8 +9,9 @@ Each argument is a checkout of the repository (or its ``src`` directory).
 Every tree runs in its own subprocess, which imports ``parafrac`` from that
 tree, runs the solvers on a fixed list of configurations and saves every
 result array with ``np.savez``.  The two archives are then compared with
-``np.array_equal``: the script prints the number of arrays, and on the
-first mismatch its name and largest absolute difference, and exits 1.
+``np.array_equal``, a NaN in a float array matching a NaN: the script
+prints the number of arrays, and on the first mismatch its name and
+largest absolute difference, and exits 1.
 
 Covered: ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
 ``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
@@ -21,7 +22,13 @@ paths are covered too: on three failing problems (a NaN source inside one
 interval, NaN sources in two intervals, and a fine system that is singular
 up to rounding) the outcome of ``chain_fine``, ``run_fine_sequential`` and
 ``parareal_solve`` at each thread count is saved as a string, the exception
-type with its location.  BLAS is pinned to one thread in the subprocesses.
+type with its location.  The calculators are covered on valid inputs:
+``lipschitz_coarse`` and ``lipschitz_fine`` over a fixed grid of steps,
+orders, constants, ``m`` and ``r``; ``gronwall_brute``, ``gronwall_closed``,
+the four binomial sums and ``iteration_error_bound`` on the inputs of
+acceptance criteria 07 and 08 and on fixed constants at ``n = 8``; and the
+``truncation_study`` rows and orders of every test function.  BLAS is pinned
+to one thread in the subprocesses.
 Only numpy and the standard library are used; a run takes a minute or two
 on a 2-vCPU host.
 """
@@ -85,6 +92,51 @@ def _failing_problems(pf):
     )
 
 
+def _calculators(pf):
+    """Name -> array of the bound calculators and the truncation study, valid inputs only."""
+    from parafrac.harness import TRUNCATION_FUNCTIONS, truncation_study
+
+    arrays = {}
+    coarse, fine = [], []
+    for dT in (1 / 2, 1 / 10, 1 / 64):
+        for alpha in (0.2, 0.5, 1.0):
+            for c_diff in (0.0, 0.7):
+                for l_f in (0.0, 0.3):
+                    coarse.append(pf.lipschitz_coarse(dT, alpha, c_diff, l_f))
+                    for m in (1, 2, 8):
+                        for r in (None, 1, m):
+                            fine.append(pf.lipschitz_fine(dT, dT / m, m, alpha, c_diff, l_f, r))
+    arrays["bounds:lipschitz_coarse"] = np.array(coarse)
+    arrays["bounds:lipschitz_fine"] = np.array(fine)
+
+    rng = np.random.default_rng(1234)  # criterion 08's draws
+    params = [pf.BoundParams(1.0, 1.1, 1.001, 10, k) for k in range(13)]
+    params += [pf.BoundParams(1.0, 1.1, 1.0, n, k) for n in range(1, 12) for k in range(n)]
+    params += [pf.BoundParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)),
+                              float(rng.uniform(0.0, 2.0)), int(rng.integers(1, 21)),
+                              int(rng.integers(0, 21)), float(rng.uniform(0.0, 2.0)))
+               for _ in range(200)]
+    params += [pf.BoundParams(1.3, 1.1, 1.2, 8, k, e0=0.7) for k in (8, 9, 12, 40)]
+    for fn in (pf.gronwall_brute, pf.gronwall_closed, pf.double_sum_exact,
+               pf.double_sum_bound, pf.single_sum_exact, pf.single_sum_bound):
+        arrays[f"bounds:{fn.__name__}"] = np.array([fn(p) for p in params])
+    arrays["bounds:iteration_error_bound"] = np.array([
+        pf.iteration_error_bound(pf.LipschitzConstants(cc, cf), 8, k, fine_err, coarse_err)
+        for cc, cf in ((1.2, 1.5), (1.05, 1.4))
+        for fine_err, coarse_err in ((1e-4, 1e-2), (0.0, 1e-3))
+        for k in range(9)
+    ])
+
+    for function in sorted(TRUNCATION_FUNCTIONS):
+        study = truncation_study(0.5, 4, (8, 16), function=function)
+        key = f"truncation:{function}"
+        arrays[f"{key}:rows"] = np.array([(nt, dt, n, r, t, err)
+                                          for nt, dt, _, n, r, t, err in study.rows])
+        arrays[f"{key}:regions"] = np.array([row[2] for row in study.rows])
+        arrays[f"{key}:orders"] = np.array([study.orders[k] for k in sorted(study.orders)])
+    return arrays
+
+
 def _outcome(fn):
     """``"ok"``, or the exception type with the location fields it carries."""
     try:
@@ -144,6 +196,7 @@ def _dump(out):
             arrays[f"{label}:parareal:t{threads}"] = _outcome(lambda: pf.parareal_solve(
                 problem, op, grids, tol=1e-10, k_max=3, threads=threads))
         print(f"  {label}: done", file=sys.stderr, flush=True)
+    arrays.update(_calculators(pf))
     np.savez(out, **arrays)
 
 
@@ -174,14 +227,17 @@ def main(argv):
             return 1
         for name in old.files:
             a, b = old[name], new[name]
-            if not np.array_equal(a, b):
+            # NaN matches NaN in float arrays (an order fitted to zero errors is NaN)
+            floats = a.dtype.kind == b.dtype.kind == "f"
+            if not np.array_equal(a, b, equal_nan=floats):
                 if a.dtype.kind == "U" or b.dtype.kind == "U":
                     print(f"MISMATCH {name}: {a} vs {b}")
                     return 1
                 gap = np.abs(a - b).max() if a.shape == b.shape else f"shapes {a.shape} vs {b.shape}"
                 print(f"MISMATCH {name}: largest absolute difference {gap}")
                 return 1
-        outcomes = sum(old[name].dtype.kind == "U" for name in old.files)
+        # a failure outcome is one string; the truncation regions are a string column
+        outcomes = sum(old[name].dtype.kind == "U" and old[name].ndim == 0 for name in old.files)
         print(f"{len(old.files)} arrays np.array_equal ({outcomes} of them failure outcomes)")
     return 0
 
