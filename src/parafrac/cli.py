@@ -59,8 +59,8 @@ class RunConfig:
     bound_n: int = 10
 
     def validate(self):
-        if self.nt < 1 or self.m < 1 or self.degree < 2:
-            raise ValueError("grid parameters nt, m must be >= 1 and n >= 2")
+        # nt, m and the degree are checked where they are used (TimeGrids,
+        # build_operator, bench_point), so a command that uses none runs
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.kmax < 1:
@@ -75,8 +75,12 @@ class RunConfig:
             raise ValueError(f"unknown test function {self.function!r}")
         if any(d < 1 for d in self.sweep):
             raise ValueError("sweep entries must be positive integers")
-        # the bounds settings, by their owner's rule (k = 0 is always in range)
-        BoundParams(self.bound_a, self.bound_b, self.bound_c, self.bound_n, 0)
+        # the bounds settings, by their owner's rule (k = 0 is always in range);
+        # its messages start with the field, which is the setting less "bound_"
+        try:
+            BoundParams(self.bound_a, self.bound_b, self.bound_c, self.bound_n, 0)
+        except ValueError as exc:
+            raise ValueError(f"bound_{exc}") from None
         return self
 
 

@@ -108,8 +108,10 @@ def assemble_diffusion(op, state, t, problem):
     boundary values are zero, which is also what the coefficient sees at
     the two boundary nodes.  Assembly runs on the full grid and the
     boundary rows and columns are dropped afterwards.  A 2-D ``state`` is
-    a stack of states and gives a stack of matrices; ``t`` is then a scalar
-    or a column of one time per state.
+    a stack of states, with ``t`` a scalar or a column of one time per
+    state; it gives a stack of matrices, or one matrix that broadcasts over
+    the stack when the coefficient has no stack axis (a scalar or one value
+    per node).
     """
     state = np.asarray(state, dtype=float)
     if state.ndim not in (1, 2) or state.shape[-1] != op.interior_size:
@@ -120,7 +122,7 @@ def assemble_diffusion(op, state, t, problem):
     full[..., 1:-1] = state
     dv = np.asarray(problem.diffusion(op.nodes, t, full), dtype=float)
     if dv.shape != full.shape:
-        dv = np.broadcast_to(dv, full.shape)
+        dv = np.broadcast_to(dv, full.shape[full.ndim - max(dv.ndim, 1):])
     if not np.isfinite(dv).all():
         bad = int(np.flatnonzero(~np.isfinite(dv))[0] % op.nodes.size)
         raise CoefficientError(bad, "diffusion coefficient is not finite")

@@ -15,7 +15,10 @@
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
-one dense solve; each march only builds its history sum.  Two solves stay
+one dense solve; each march only builds its history sum.  On a stack whose
+diffusion coefficient has no stack axis (it depends on neither ``u`` nor
+``t``), ``A`` and ``I - gamma A`` are built once per substep and the solve
+broadcasts that one system over the stack.  Two solves stay
 on purpose: scipy's LU with a small-pivot check for single systems, and
 numpy's stacked ``linalg.solve`` for the sweep, which solves a block's
 systems in one call instead of one call per system but hides its pivots.
@@ -87,7 +90,10 @@ def _lu_solve_checked(system, rhs, step):
 def _stacked_solve(systems, rhs, step):
     """Stacked solve without a pivot check; ``step = (intervals, r)``.
 
-    A failure names ``(intervals[0], r)``, the first interval of the stack,
+    ``systems`` is one matrix per right-hand side, or one matrix that
+    ``linalg.solve`` broadcasts over them; it still factors a copy per
+    right-hand side, so the bits are those of the stacked systems.  A
+    failure names ``(intervals[0], r)``, the first interval of the stack,
     which is exact for a one-interval stack; :func:`fine_sweep_intervals`
     lets no other label through.
     """
@@ -106,6 +112,8 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
 
     ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time,
     or a stack of states and a column of times, with the matching ``solve``.
+    On a stack, ``A`` and the system are one matrix when the coefficient has
+    no stack axis (see :func:`assemble_diffusion`), else one per state.
     ``history``, a fresh array, becomes the right-hand side in place.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding,
     and read before the caller stores the result, so it may be the path row

@@ -70,8 +70,6 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(nt=0).validate()
-        with pytest.raises(ValueError):
             RunConfig(tol=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(solver="magic").validate()
@@ -246,6 +244,10 @@ class TestBadSweepOrDepth:
         ["bounds", "--n", "-1"],
         ["truncation", "--m", "2", "--sweep", "3"],
         ["bounds", "--b", "nan"],
+        # grid counts and degrees, checked by the owners that use them
+        ["solve", "--nt", "0"],
+        ["truncation", "--m", "0"],
+        ["bench", "--sweep", "64", "--n", "1"],
     ])
     def test_exits_2_without_csv(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -259,8 +261,18 @@ class TestBadSweepOrDepth:
         cfg_path.write_text(f"[run]\n{setting}\n")
         out = tmp_path / "s.csv"
         assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:")
+        assert setting.split(" =")[0] in last
         assert not out.exists()
+
+    def test_grid_settings_do_not_stop_bounds(self, tmp_path):
+        # bounds builds no operator and no grid, so their settings are not its concern
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[run]\nn = 1\nnt = 0\n")
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 11
 
 
 class TestTruncationCommand:

@@ -198,3 +198,56 @@ class TestAssembleDiffusion:
     def test_state_size_checked(self, op8, paper42):
         with pytest.raises(ValueError):
             assemble_diffusion(op8, np.zeros(9), 0.0, paper42)
+
+
+class TestAssembleDiffusionStack:
+    """A stack of 5 states: the coefficient is broadcast over the axes it has.
+
+    Several degrees, so that the one-matrix result is pinned bitwise against
+    the stacked one on whichever BLAS runs the product.
+    """
+
+    @staticmethod
+    def _setup(degree):
+        op = build_operator(degree, 0.0, 1.0)
+        states = np.random.default_rng(degree).standard_normal((5, op.interior_size))
+        return op, states
+
+    @staticmethod
+    def _problem(diffusion):
+        return make_problem(diffusion, lambda x, t, u: 0.0, lambda x: 0.0 * np.asarray(x))
+
+    @pytest.mark.parametrize("degree", [8, 16, 64])
+    @pytest.mark.parametrize("coefficient", [
+        lambda x: 2.5,
+        lambda x: 1.0 + x,
+    ], ids=["scalar", "x-only"])
+    def test_no_stack_axis_gives_one_matrix(self, degree, coefficient):
+        op, states = self._setup(degree)
+        size = op.interior_size
+        one = assemble_diffusion(op, states, 0.3, self._problem(lambda x, t, u: coefficient(x)))
+        assert one.shape == (size, size)
+        stacked = assemble_diffusion(
+            op, states, 0.3, self._problem(lambda x, t, u: coefficient(x) + 0.0 * u))
+        assert stacked.shape == (5, size, size)
+        for matrix in stacked:
+            assert np.array_equal(one, matrix)
+
+    @pytest.mark.parametrize("degree", [8, 16, 64])
+    def test_time_column_keeps_the_stack(self, degree):
+        op, states = self._setup(degree)
+        prob = self._problem(lambda x, t, u: 1.0 + t)
+        times = np.linspace(0.1, 0.5, 5)[:, None]
+        got = assemble_diffusion(op, states, times, prob)
+        assert got.shape == (5, op.interior_size, op.interior_size)
+        for i, t in enumerate(times[:, 0]):
+            assert np.array_equal(got[i], assemble_diffusion(op, states[i], t, prob))
+
+    @pytest.mark.parametrize("degree", [8, 16, 64])
+    def test_extra_leading_axis_rejected(self, degree):
+        op, states = self._setup(degree)
+        prob = self._problem(lambda x, t, u: np.ones((2,) + np.shape(u)))
+        with pytest.raises(ValueError):
+            assemble_diffusion(op, states, 0.0, prob)
+        with pytest.raises(ValueError):
+            assemble_diffusion(op, states[0], 0.0, prob)

@@ -237,6 +237,30 @@ class TestFineSweep:
             tracemalloc.stop()
         assert peak < 1.8 * path_bytes
 
+    def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat):
+        # linear-heat's D = 1 has no stack axis, so its sweep solves one
+        # broadcast system per substep; written with a stack axis, it solves
+        # one system per interval
+        grids = TimeGrids(1.0, 8, 6)
+        traj = run_coarse(linear_heat, op16, grids)
+        stacked = dataclasses.replace(linear_heat, diffusion=lambda x, t, u: 1.0 + 0.0 * u)
+        assert np.array_equal(fine_sweep_intervals(traj, 0, 8, op16, grids, linear_heat),
+                              fine_sweep_intervals(traj, 0, 8, op16, grids, stacked))
+
+    def test_coefficient_without_stack_axis_builds_one_system(self, op16, linear_heat):
+        # one (interior, interior) system per substep, not one per interval
+        grids = TimeGrids(1.0, 16, 8)
+        traj = run_coarse(linear_heat, op16, grids)
+        fine_sweep_intervals(traj, 0, 16, op16, grids, linear_heat)
+        path_bytes = (grids.m + 1) * grids.nt * op16.interior_size * 8
+        tracemalloc.start()
+        try:
+            fine_sweep_intervals(traj, 0, 16, op16, grids, linear_heat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path_bytes
+
 
 class TestRunFineSequential:
     def test_m1_equals_coarse(self, op8, paper42):

@@ -13,7 +13,10 @@ result array with ``np.savez``.  The two archives are then compared with
 prints the number of arrays, and on the first mismatch its name and
 largest absolute difference, and exits 1.
 
-Covered: ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
+Covered, on the configurations in ``CONFIGS`` and on two custom problems
+whose diffusion coefficient varies in ``x`` alone or in ``t`` alone (so a
+stacked sweep assembles one matrix for all its intervals, or one per
+interval): ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
 ``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
 ``fine_sweep_intervals`` (all intervals, and 1..nt-2) and
 ``parareal_solve`` at threads 1, 2, 3 and 8 (states, the three caches,
@@ -54,7 +57,28 @@ CONFIGS = (
     ("paper42-n16-nt30-m6", "paper42", 16, 30, 6, 1e-10, 25),
     ("linear-heat-n12-nt7-m5", "linear-heat", 12, 7, 5, 1e-10, 25),
     ("paper42-n8-nt4-m4-k6", "paper42", 8, 4, 4, None, 6),
+    ("constant-D-n16-nt16-m8", "constant-D", 16, 16, 8, 1e-10, 25),
 )
+
+
+def _custom_problems(pf):
+    """``(label, problem, degree, nt, m, tol, k_max)`` for coefficients on one side of a stack.
+
+    ``D = 1 + x`` has one value per node, so a stacked sweep assembles one
+    matrix for all its intervals; ``D = 1 + t`` has one value per interval,
+    so it assembles one matrix per interval.
+    """
+    from parafrac.problems import ProblemSpec, decaying_sine_source
+
+    def sine(x):
+        return np.sin(np.pi * np.asarray(x))
+
+    return (
+        ("x-only-n8-nt8-m4", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + x,
+                                         decaying_sine_source, sine), 8, 8, 4, 1e-10, 25),
+        ("t-only-n8-nt8-m4", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + t,
+                                         decaying_sine_source, sine), 8, 8, 4, 1e-10, 25),
+    )
 
 
 def _failing_problems(pf):
@@ -155,8 +179,8 @@ def _dump(out):
     from parafrac.stepping import fine_sweep_intervals
 
     arrays = {}
-    for label, name, degree, nt, m, tol, k_max in CONFIGS:
-        problem = pf.get_problem(name)
+    configs = [(label, pf.get_problem(name), *rest) for label, name, *rest in CONFIGS]
+    for label, problem, degree, nt, m, tol, k_max in configs + list(_custom_problems(pf)):
         op = pf.build_operator(degree, problem.a, problem.b)
         grids = pf.TimeGrids(problem.t_final, nt, m)
         coarse = pf.run_coarse(problem, op, grids)
