@@ -106,12 +106,14 @@ def assemble_diffusion(op, state, t, problem):
 
     ``state`` holds the interior nodal values of ``u``; the Dirichlet
     boundary values are zero, which is also what the coefficient sees at
-    the two boundary nodes.  Assembly runs on the full grid and the
-    boundary rows and columns are dropped afterwards.  A 2-D ``state`` is
-    a stack of states, with ``t`` a scalar or a column of one time per
-    state; it gives a stack of matrices, or one matrix that broadcasts over
-    the stack when the coefficient has no stack axis (a scalar or one value
-    per node).
+    the two boundary nodes.  The coefficient is evaluated on the full grid,
+    since the product sums over every node, but only the interior rows of
+    ``D1`` and its interior columns enter the product, so the interior
+    block is the only matrix built.  It is a fresh array that the caller
+    may overwrite.  A 2-D ``state`` is a stack of states, with ``t`` a
+    scalar or a column of one time per state; it gives a stack of matrices,
+    or one matrix that broadcasts over the stack when the coefficient has
+    no stack axis (a scalar or one value per node).
     """
     state = np.asarray(state, dtype=float)
     if state.ndim not in (1, 2) or state.shape[-1] != op.interior_size:
@@ -126,8 +128,7 @@ def assemble_diffusion(op, state, t, problem):
     if not np.isfinite(dv).all():
         bad = int(np.flatnonzero(~np.isfinite(dv))[0] % op.nodes.size)
         raise CoefficientError(bad, "diffusion coefficient is not finite")
-    afull = (op.d1 * dv[..., None, :]) @ op.d1
-    return afull[..., 1:-1, 1:-1]
+    return (op.d1[1:-1] * dv[..., None, :]) @ op.d1[:, 1:-1]
 
 
 def l2_norm(op, values):

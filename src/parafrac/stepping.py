@@ -114,7 +114,8 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     or a stack of states and a column of times, with the matching ``solve``.
     On a stack, ``A`` and the system are one matrix when the coefficient has
     no stack axis (see :func:`assemble_diffusion`), else one per state.
-    ``history``, a fresh array, becomes the right-hand side in place.
+    The system is built in the storage of the fresh ``A``, and ``history``,
+    a fresh array, becomes the right-hand side in place.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding,
     and read before the caller stores the result, so it may be the path row
     the result goes to.
@@ -125,10 +126,10 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     rhs += gam * f
     if coupling is not None:
         rhs += coupling
-    # the same bits as eye - gam * a_mat, with one temporary fewer
-    system = np.multiply(a_mat, -gam)
-    system += _eye(op.interior_size)
-    return solve(system, rhs, step)
+    # the same bits as eye - gam * a_mat, built in A's storage
+    a_mat *= -gam
+    a_mat += _eye(op.interior_size)
+    return solve(a_mat, rhs, step)
 
 
 def _full_step(states, n, b, tail, op, problem, width, gam):

@@ -234,6 +234,27 @@ class TestAssembleDiffusionStack:
             assert np.array_equal(one, matrix)
 
     @pytest.mark.parametrize("degree", [8, 16, 64])
+    @pytest.mark.parametrize("shape", ["state", "stack", "time-column", "scalar"])
+    def test_interior_block_of_full_grid_product(self, degree, shape):
+        # only the interior block is built; its bits are those of the full
+        # (n+1, n+1) product with the boundary rows and columns dropped
+        op, states = self._setup(degree)
+        state, t, coefficient = {
+            "state": (states[0], 0.3, lambda x, t, u: 1.0 + u),
+            "stack": (states, 0.3, lambda x, t, u: 1.0 + u),
+            "time-column": (states, np.linspace(0.1, 0.5, 5)[:, None], lambda x, t, u: 1.0 + t),
+            "scalar": (states, 0.3, lambda x, t, u: 2.5),
+        }[shape]
+        full = np.zeros(state.shape[:-1] + op.nodes.shape)
+        full[..., 1:-1] = state
+        dv = np.asarray(coefficient(op.nodes, t, full), dtype=float)
+        dv = np.broadcast_to(dv, full.shape[full.ndim - max(dv.ndim, 1):])
+        want = ((op.d1 * dv[..., None, :]) @ op.d1)[..., 1:-1, 1:-1]
+        got = assemble_diffusion(op, state, t, self._problem(coefficient))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("degree", [8, 16, 64])
     def test_time_column_keeps_the_stack(self, degree):
         op, states = self._setup(degree)
         prob = self._problem(lambda x, t, u: 1.0 + t)

@@ -237,6 +237,24 @@ class TestFineSweep:
             tracemalloc.stop()
         assert peak < 1.8 * path_bytes
 
+    def test_stacked_substep_builds_interior_system_only(self, op16, paper42):
+        # D = 1 + u has a stack axis: each substep builds one (B, n-1, n+1)
+        # product and turns the (B, n-1, n-1) block it gives into I - gamma A
+        # in place, with no full-grid matrices and no copy of the system
+        grids = TimeGrids(1.0, 64, 2)
+        traj = run_coarse(paper42, op16, grids)
+        fine_sweep_intervals(traj, 0, 64, op16, grids, paper42)
+        size = op16.interior_size
+        path_bytes = (grids.m + 1) * grids.nt * size * 8
+        system_bytes = grids.nt * size * size * 8
+        tracemalloc.start()
+        try:
+            fine_sweep_intervals(traj, 0, 64, op16, grids, paper42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.45 * (path_bytes + system_bytes)
+
     def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat):
         # linear-heat's D = 1 has no stack axis, so its sweep solves one
         # broadcast system per substep; written with a stack axis, it solves

@@ -30,8 +30,13 @@ type with its location.  The calculators are covered on valid inputs:
 orders, constants, ``m`` and ``r``; ``gronwall_brute``, ``gronwall_closed``,
 the four binomial sums and ``iteration_error_bound`` on the inputs of
 acceptance criteria 07 and 08 and on fixed constants at ``n = 8``; and the
-``truncation_study`` rows and orders of every test function.  BLAS is pinned
-to one thread in the subprocesses.
+``truncation_study`` rows and orders of every test function.  The assembly
+kernel is covered on its own, so that a change in its bits is reported
+under its own name: ``assemble_diffusion`` at degrees 8, 16 and 64 on one
+state with ``D = 1 + u`` (``assembly:n<degree>:state``), on a stack of 5
+states with ``D = 1 + u`` (``:stack``), on that stack with a column of
+times and ``D = 1 + t`` (``:time-column``) and on that stack with a scalar
+``D`` (``:scalar``).  BLAS is pinned to one thread in the subprocesses.
 Only numpy and the standard library are used; a run takes a minute or two
 on a 2-vCPU host.
 """
@@ -161,6 +166,30 @@ def _calculators(pf):
     return arrays
 
 
+def _assembly(pf):
+    """Name -> ``assemble_diffusion`` output for a state, a stack, a time column and a scalar ``D``."""
+    from parafrac.problems import ProblemSpec
+
+    def problem(diffusion):
+        return ProblemSpec(0.0, 1.0, 1.0, 0.5, diffusion, lambda x, t, u: 0.0,
+                           lambda x: 0.0 * np.asarray(x))
+
+    quasilinear = problem(lambda x, t, u: 1.0 + u)
+    times = np.linspace(0.1, 0.5, 5)[:, None]
+    arrays = {}
+    for degree in (8, 16, 64):
+        op = pf.build_operator(degree, 0.0, 1.0)
+        states = np.random.default_rng(degree).standard_normal((5, op.interior_size))
+        key = f"assembly:n{degree}"
+        arrays[f"{key}:state"] = pf.assemble_diffusion(op, states[0], 0.3, quasilinear)
+        arrays[f"{key}:stack"] = pf.assemble_diffusion(op, states, 0.3, quasilinear)
+        arrays[f"{key}:time-column"] = pf.assemble_diffusion(
+            op, states, times, problem(lambda x, t, u: 1.0 + t))
+        arrays[f"{key}:scalar"] = pf.assemble_diffusion(
+            op, states, 0.3, problem(lambda x, t, u: 2.5))
+    return arrays
+
+
 def _outcome(fn):
     """``"ok"``, or the exception type with the location fields it carries."""
     try:
@@ -221,6 +250,7 @@ def _dump(out):
                 problem, op, grids, tol=1e-10, k_max=3, threads=threads))
         print(f"  {label}: done", file=sys.stderr, flush=True)
     arrays.update(_calculators(pf))
+    arrays.update(_assembly(pf))
     np.savez(out, **arrays)
 
 
