@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .l1 import TimeGrids, _is_integer, caputo_power, discrete_caputo_hybrid
+from .l1 import TimeGrids, _is_integer, caputo_power, discrete_caputo_hybrid, weights_for
 from .parareal import parareal_solve
 from .problems import get_problem
 from .spectral import build_operator
@@ -48,10 +48,15 @@ def fit_loglog(x, y):
 class BenchRecord:
     """One benchmark point; allocation figures are tracemalloc peaks (approximate).
 
-    ``peak_alloc_parareal`` is always taken from a ``threads=1`` solve, so
-    it does not depend on ``threads``: tracemalloc cannot see the worker
-    processes of ``threads > 1``.  The field order is the column order of
-    the ``parafrac bench`` CSV, which writes each record as
+    ``peak_alloc_parareal`` is always taken from a ``threads=1`` solve:
+    tracemalloc cannot see the worker processes of ``threads > 1``.  Both
+    peaks are taken after the timed runs, which have already built the
+    weight grids a solve reads, so they leave out the grid growth of a cold
+    first solve that perfbench's ``*_peak_mib`` includes.  The caller's
+    ``b_{q/m}`` grid, which timed runs at ``threads > 1`` build only over
+    the caller's own blocks, is completed first, so the parareal peak does
+    not depend on ``threads``.  The field order is the column order of the
+    ``parafrac bench`` CSV, which writes each record as
     ``dataclasses.astuple(record)``.
     """
 
@@ -119,6 +124,9 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
     wall_fine, _ = _best_time(fine, reps, warmup)
     wall_para, (_, report) = _best_time(parallel, reps, warmup)
     peak_fine = _peak_alloc(fine) if measure_memory else 0
+    # runs at threads > 1 grew the caller's b_{q/m} grid only over its own
+    # blocks; a 1-process solve reads it up to the last interval
+    weights_for(problem.alpha).on_grid(m_eff, (nt - 1) * m_eff + 1)
     # tracemalloc sees the caller alone, so the peak is that of a solve run all in it
     peak_para = _peak_alloc(lambda: parallel(1)) if measure_memory else 0
     return BenchRecord(

@@ -114,9 +114,10 @@ class FractionalWeights:
 
     The one cache is the weight grids: lookups of ``b_{q/denom}`` for
     ``q = 0..count-1`` share one read-only array per ``denom`` that grows
-    on demand.  Forked worker processes inherit the grids as they were at
-    fork time; entries they add stay in the worker.  A different order
-    requires a new instance.
+    on demand, and each march asks once, for its largest count, before it
+    allocates its states.  Forked worker processes inherit the grids as
+    they were at fork time; entries they add stay in the worker.  A
+    different order requires a new instance.
     """
 
     __slots__ = ("alpha", "_grids")

@@ -185,18 +185,18 @@ def run_coarse(problem, op, grids):
     return _full_march(problem, op, grids.dT, grids.nt)
 
 
-def _coarse_contribution(wt, hist, n, m, alpha, out):
+def _coarse_contribution(bq, hist, n, m, alpha, out):
     """Write the history-side right-hand terms of the fine march into ``out``.
 
     ``out`` is the interval's path rows ``1..m``: row ``r`` waits there as
     the coarse-history bracket for target node ``(n, r)`` until substep
     ``r`` overwrites it with its state.  The bracket applies
     fractional-index weights to the coarse state increments,
-    ``-m^-alpha sum_i b_{n-i+r/m} (U_i - U_{i-1})``.  The weight
-    ``b_{(n-i)m+r over m}`` is a plain reshape of the cached weight grid, so
-    the whole bracket is one matrix product.
+    ``-m^-alpha sum_i b_{n-i+r/m} (U_i - U_{i-1})``.  ``bq`` is the march's
+    weight grid ``b_{q/m}`` for at least ``q = 0..n*m``; the weight
+    ``b_{(n-i)m+r over m}`` is a plain reshape of it, so the whole bracket
+    is one matrix product.
     """
-    bq = wt.on_grid(m, n * m + 1)
     picks = bq[1 : n * m + 1].reshape(n, m)  # picks[j, r-1] = b_{(j m + r)/m}
     increments = hist[1:] - hist[:-1]
     np.multiply(-(float(m) ** (-alpha)), picks.T @ increments[::-1], out=out)
@@ -209,26 +209,31 @@ def _march(start, hist, n, op, grids, problem, solve):
     ``n``; ``hist`` (coarse states from node 0) enters through the coarse
     coupling, which waits in the path row it precedes: row ``r`` holds
     substep ``r``'s coupling until that substep's state replaces it, so a
-    sweep holds one array.  The history is an ``einsum``: a BLAS gemv
-    rounds a column by its place in the row, which would tie the bits to
-    the grouping.
+    sweep holds one array.  The weight tables come first: one grid lookup
+    for the last interval serves every interval of the march, and a grid
+    that has to grow does so before the path array exists.  The history is
+    an ``einsum``: a BLAS gemv rounds a column by its place in the row,
+    which would tie the bits to the grouping.
     """
     m = grids.m
     alpha = problem.alpha
     wt = weights_for(alpha)
+    last = n[-1] if isinstance(n, range) else n
+    bq = wt.on_grid(m, last * m + 1)
+    rows = wt.fine_rows(m)
     paths = np.empty((m + 1,) + start.shape)
     paths[0] = start
     if isinstance(n, range):
         base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
         for i, j in enumerate(n):
-            _coarse_contribution(wt, hist[: j + 1], j, m, alpha, paths[1:, i])
+            _coarse_contribution(bq, hist[: j + 1], j, m, alpha, paths[1:, i])
     else:
         base_t = n * grids.dT
-        _coarse_contribution(wt, hist[: n + 1], n, m, alpha, paths[1:])
+        _coarse_contribution(bq, hist[: n + 1], n, m, alpha, paths[1:])
     gam = _step_factor(grids.dt, problem.alpha)
 
     flat = paths.reshape(m + 1, -1)
-    for r, row in enumerate(wt.fine_rows(m), 1):
+    for r, row in enumerate(rows, 1):
         history = np.einsum("j,jk->k", row, flat[:r]).reshape(start.shape)
         paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
                          history, paths[r], solve, (n, r))

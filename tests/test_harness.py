@@ -108,6 +108,15 @@ class TestBench:
                  for threads in (1, 2, 1)]
         assert peaks[1] == pytest.approx(peaks[2], rel=0.05)
 
+    def test_parareal_peak_independent_of_threads_cold_grid(self):
+        # no other test uses this order, so the timed runs at threads=2 leave
+        # the caller's b_{q/m} grid covering its own blocks only; growing it
+        # inside the traced solve read 1.19x the threads=1 peak here
+        peaks = [bench_point("paper42", 2048, alpha=0.4375, degree=8, m=128, threads=threads,
+                             reps=1, warmup=0, measure_memory=True).peak_alloc_parareal
+                 for threads in (2, 1)]
+        assert peaks[0] == pytest.approx(peaks[1], rel=0.05)
+
     def test_single_thread_record_still_written(self):
         rec = bench_point("paper42", 32, degree=8, m=4, threads=1, reps=1, warmup=0,
                           measure_memory=False)

@@ -19,7 +19,7 @@ from parafrac import (
     run_fine_sequential,
 )
 from parafrac.errors import SolverFailure
-from parafrac.l1 import gamma_2_minus
+from parafrac.l1 import FractionalWeights, gamma_2_minus
 from parafrac.spectral import l2_norm
 from parafrac.stepping import _lu_solve_checked, fine_sweep_intervals
 
@@ -254,6 +254,40 @@ class TestFineSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2.45 * (path_bytes + system_bytes)
+
+    def test_cold_sweep_grows_grid_before_path_array(self, op8, paper42):
+        # no other test uses this order, so the sweep starts with no b_{q/m}
+        # grid: it is built once, at its full size, before the path array
+        problem = dataclasses.replace(paper42, alpha=0.375)
+        grids = TimeGrids(1.0, 32, 512)
+        traj = run_coarse(problem, op8, grids)
+        path_bytes = (grids.m + 1) * grids.nt * op8.interior_size * 8
+        grid_bytes = ((grids.nt - 1) * grids.m + 1) * 8
+        tracemalloc.start()
+        try:
+            fine_sweep_intervals(traj, 0, 32, op8, grids, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * (path_bytes + grid_bytes)
+
+    def test_one_grid_lookup_per_march(self, op8, paper42, monkeypatch):
+        lookups = []
+        on_grid = FractionalWeights.on_grid
+
+        def spy(self, denom, count):
+            lookups.append(denom)
+            return on_grid(self, denom, count)
+
+        monkeypatch.setattr(FractionalWeights, "on_grid", spy)
+        grids = TimeGrids(1.0, 32, 4)
+        traj = run_coarse(paper42, op8, grids)
+        lookups.clear()
+        fine_sweep_intervals(traj, 0, 32, op8, grids, paper42)
+        assert lookups.count(grids.m) == 1
+        lookups.clear()
+        fine_propagate(traj[31], traj[:32], op8, grids, paper42)
+        assert lookups.count(grids.m) == 1
 
     def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat):
         # linear-heat's D = 1 has no stack axis, so its sweep solves one

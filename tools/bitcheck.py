@@ -36,7 +36,13 @@ under its own name: ``assemble_diffusion`` at degrees 8, 16 and 64 on one
 state with ``D = 1 + u`` (``assembly:n<degree>:state``), on a stack of 5
 states with ``D = 1 + u`` (``:stack``), on that stack with a column of
 times and ``D = 1 + t`` (``:time-column``) and on that stack with a scalar
-``D`` (``:scalar``).  BLAS is pinned to one thread in the subprocesses.
+``D`` (``:scalar``).  So are the two L1 weight grids a solve reads, for
+every configuration and custom problem: ``b_{q/m}`` for
+``q = 0..(nt-1)m`` (``weights:<config>:m``), which the fine propagator
+applies to the coarse history, and ``b_q`` for ``q = 0..nt m``
+(``weights:<config>:1``), which the full-history marches and the fine
+rows use; a change to the weight formula or to how the grids grow is then
+reported under its own name.  BLAS is pinned to one thread in the subprocesses.
 Only numpy and the standard library are used; a run takes a minute or two
 on a 2-vCPU host.
 """
@@ -204,6 +210,7 @@ def _outcome(fn):
 def _dump(out):
     """Run every configuration with the ``parafrac`` on ``sys.path``; save to ``out``."""
     import parafrac as pf
+    from parafrac.l1 import weights_for
     from parafrac.parareal import _solve
     from parafrac.stepping import fine_sweep_intervals
 
@@ -240,6 +247,9 @@ def _dump(out):
             arrays[f"{key}:diffs"] = np.array(report.diffs)
             arrays[f"{key}:errors_vs_reference"] = np.array(report.errors_vs_reference)
             arrays[f"{key}:iterations"] = np.array(report.iterations)
+        weights = weights_for(problem.alpha)
+        arrays[f"weights:{label}:m"] = weights.on_grid(m, (nt - 1) * m + 1)
+        arrays[f"weights:{label}:1"] = weights.on_grid(1, nt * m + 1)
         print(f"  {label}: done", file=sys.stderr, flush=True)
     for label, problem, op, grids in _failing_problems(pf):
         arrays[f"{label}:chain_fine"] = _outcome(lambda: pf.chain_fine(problem, op, grids))
