@@ -114,10 +114,11 @@ class FractionalWeights:
 
     The one cache is the weight grids: lookups of ``b_{q/denom}`` for
     ``q = 0..count-1`` share one read-only array per ``denom`` that grows
-    on demand, and each march asks once, for its largest count, before it
-    allocates its states.  Forked worker processes inherit the grids as
-    they were at fork time; entries they add stay in the worker.  A
-    different order requires a new instance.
+    on demand.  A solve's fine marches ask for the time grid's whole
+    ``b_{q/m}`` range, before they allocate their states; growth at least
+    doubles the grid for callers that grow it a step at a time, such as the
+    truncation study's ``discrete_caputo_*`` loop.  Forked workers inherit
+    the grids as they were at fork time and keep what they add.
     """
 
     __slots__ = ("alpha", "_grids")

@@ -7,19 +7,20 @@
   takes one step of that march on the history it is given.
 * :func:`fine_propagate` marches one coarse interval on the fine subgrid,
   compressing everything before the interval through the coarse history
-  with fractional-index weights (the parallelizable propagator).  The same
-  interval march, :func:`_march`, serves :func:`fine_sweep_intervals` on a
-  stack of intervals, with paths stored substep-major (one row per substep).
-  The coarse coupling of each substep waits in the path row it precedes
-  until the substep's state overwrites it, so a sweep holds one array.
+  with fractional-index weights (the parallelizable propagator).  It is a
+  one-interval :func:`fine_sweep_intervals`: both run :func:`_march` on a
+  range of intervals and a stack of their starts, and differ only in their
+  solve.  Paths are stored substep-major (one row per substep); the coarse
+  coupling of each substep waits in the path row it precedes until the
+  substep's state overwrites it, so a march holds one array.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
 one dense solve; each march only builds its history sum.  On a stack whose
 diffusion coefficient has no stack axis (it depends on neither ``u`` nor
 ``t``), ``A`` and ``I - gamma A`` are built once per substep and the solve
-broadcasts that one system over the stack.  Two solves stay
-on purpose: scipy's LU with a small-pivot check for single systems, and
+broadcasts that one system over the stack.  Two solves stay on purpose:
+scipy's LU with a small-pivot check for one system or a stack of one, and
 numpy's stacked ``linalg.solve`` for the sweep, which solves a block's
 systems in one call instead of one call per system but hides its pivots.
 For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
@@ -72,7 +73,12 @@ def initial_state(problem, op):
 
 
 def _lu_solve_checked(system, rhs, step):
-    """Dense LU with partial pivoting; rejects singular or tiny pivots."""
+    """Dense LU with partial pivoting; rejects singular or tiny pivots.
+
+    ``system`` is one matrix or a stack of one, ``rhs`` one state or a stack
+    of one; the solution has the shape of ``rhs``.  A failure names ``step``.
+    """
+    system = system.reshape(system.shape[-2:])
     try:
         lu, piv = lu_factor(system, check_finite=False)
     except Exception as exc:
@@ -81,29 +87,25 @@ def _lu_solve_checked(system, rhs, step):
     pivot_min = float(np.abs(np.diag(lu)).min())
     if not np.isfinite(pivot_min) or pivot_min <= PIVOT_RTOL * scale:
         raise SolverFailure(step, "singular or ill-conditioned time-step system")
-    out = lu_solve((lu, piv), rhs, check_finite=False)
+    out = lu_solve((lu, piv), rhs.reshape(-1), check_finite=False)
     if not np.isfinite(out).all():
         raise SolverFailure(step, "non-finite solution from linear solve")
-    return out
+    return out.reshape(rhs.shape)
 
 
 def _stacked_solve(systems, rhs, step):
-    """Stacked solve without a pivot check; ``step = (intervals, r)``.
+    """Stacked solve without a pivot check; a failure names ``step``.
 
     ``systems`` is one matrix per right-hand side, or one matrix that
     ``linalg.solve`` broadcasts over them; it still factors a copy per
-    right-hand side, so the bits are those of the stacked systems.  A
-    failure names ``(intervals[0], r)``, the first interval of the stack,
-    which is exact for a one-interval stack; :func:`fine_sweep_intervals`
-    lets no other label through.
+    right-hand side, so the bits are those of the stacked systems.
     """
-    label = (step[0][0], step[1])
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        raise SolverFailure(label, f"fine-sweep solve failed: {exc}") from exc
+        raise SolverFailure(step, f"fine-sweep solve failed: {exc}") from exc
     if not np.isfinite(out).all():
-        raise SolverFailure(label, "non-finite solution in fine sweep")
+        raise SolverFailure(step, "non-finite solution in fine sweep")
     return out
 
 
@@ -155,13 +157,18 @@ def _full_march(problem, op, width, count):
     return states
 
 
-def _history_stack(history, op, name):
-    """``history`` as float states of shape ``(nodes, interior)``; one state is one node."""
+def _history_stack(history, op, grids, name):
+    """``history`` as float states of shape ``(nodes, interior)``; one state is one node.
+
+    It holds at most ``grids.nt`` nodes, so no step starts at ``t_final``.
+    """
     states = np.asarray(history, dtype=float)
     if states.ndim == 1:
         states = states[None, :]
     if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != op.interior_size:
         raise ValueError(f"{name} must be a nonempty stack of interior-node states")
+    if states.shape[0] > grids.nt:
+        raise ValueError(f"{name} holds {states.shape[0]} nodes, more than nt = {grids.nt}")
     return states
 
 
@@ -173,7 +180,7 @@ def coarse_step(history, op, grids, problem):
     frozen at ``(U_n, T_n)``, so the quasilinear problem costs one dense
     solve per step.  A failure names step ``n``.
     """
-    states = _history_stack(history, op, "history")
+    states = _history_stack(history, op, grids, "history")
     n = states.shape[0] - 1
     b = weights_for(problem.alpha).on_grid(1, n + 1)
     return _full_step(states, n, b, _telescoped(b, n)[1:], op, problem, grids.dT,
@@ -203,40 +210,35 @@ def _coarse_contribution(bq, hist, n, m, alpha, out):
 
 
 def _march(start, hist, n, op, grids, problem, solve):
-    """Fine paths ``paths[r]`` at nodes ``(n, r)``, ``r = 0..m``, substep-major.
+    """Fine paths ``paths[r, i]`` at nodes ``(n[i], r)``, ``r = 0..m``, substep-major.
 
-    ``n`` is one interval or a range and ``start`` the state(s) at node
-    ``n``; ``hist`` (coarse states from node 0) enters through the coarse
-    coupling, which waits in the path row it precedes: row ``r`` holds
-    substep ``r``'s coupling until that substep's state replaces it, so a
-    sweep holds one array.  The weight tables come first: one grid lookup
-    for the last interval serves every interval of the march, and a grid
-    that has to grow does so before the path array exists.  The history is
-    an ``einsum``: a BLAS gemv rounds a column by its place in the row,
-    which would tie the bits to the grouping.
+    ``n`` is a range of intervals and ``start`` their stacked first states;
+    ``hist`` (coarse states from node 0) enters through the coarse coupling,
+    which waits in the path row it precedes until that substep's state
+    replaces it, so a march holds one array.  The ``b_{q/m}`` grid of the
+    whole time grid is fetched first: it grows before the path array exists,
+    and a process's grid does not depend on what it marched first.  A
+    failure names ``(n.start, r)``.  The history is an ``einsum``: a BLAS
+    gemv rounds a column by its place in the row, which would tie the bits
+    to the grouping.
     """
     m = grids.m
     alpha = problem.alpha
     wt = weights_for(alpha)
-    last = n[-1] if isinstance(n, range) else n
-    bq = wt.on_grid(m, last * m + 1)
+    bq = wt.on_grid(m, (grids.nt - 1) * m + 1)
     rows = wt.fine_rows(m)
     paths = np.empty((m + 1,) + start.shape)
     paths[0] = start
-    if isinstance(n, range):
-        base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
-        for i, j in enumerate(n):
-            _coarse_contribution(bq, hist[: j + 1], j, m, alpha, paths[1:, i])
-    else:
-        base_t = n * grids.dT
-        _coarse_contribution(bq, hist[: n + 1], n, m, alpha, paths[1:])
+    base_t = (np.arange(n.start, n.stop) * grids.dT)[:, None]
+    for i, j in enumerate(n):
+        _coarse_contribution(bq, hist[: j + 1], j, m, alpha, paths[1:, i])
     gam = _step_factor(grids.dt, problem.alpha)
 
     flat = paths.reshape(m + 1, -1)
     for r, row in enumerate(rows, 1):
         history = np.einsum("j,jk->k", row, flat[:r]).reshape(start.shape)
         paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
-                         history, paths[r], solve, (n, r))
+                         history, paths[r], solve, (n.start, r))
     return paths
 
 
@@ -250,9 +252,10 @@ def fine_propagate(start, coarse_history, op, grids, problem):
 
     Only the coarse history plus the current interval's fine states enter
     each substep, which is what makes intervals independent of each other,
-    so that separate processes can propagate them in any grouping.
+    so that separate processes can propagate them in any grouping.  It is a
+    one-interval sweep with the checked solve, so callbacks see stacks of one.
     """
-    hist = _history_stack(coarse_history, op, "coarse_history")
+    hist = _history_stack(coarse_history, op, grids, "coarse_history")
     start = np.asarray(start, dtype=float)
     if start.shape != (op.interior_size,):
         raise ValueError("start must be a vector of interior-node values")
@@ -260,8 +263,8 @@ def fine_propagate(start, coarse_history, op, grids, problem):
     scale = max(1.0, float(np.abs(start).max()))
     if float(np.abs(hist[n] - start).max()) > START_MISMATCH_TOL * scale:
         raise ValueError("start state disagrees with the last coarse history entry")
-    path = _march(start, hist, n, op, grids, problem, _lu_solve_checked)
-    return path[-1].copy(), path[1:].copy()
+    path = _march(start[None], hist, range(n, n + 1), op, grids, problem, _lu_solve_checked)
+    return path[-1, 0].copy(), path[1:, 0].copy()
 
 
 def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
@@ -276,12 +279,13 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     reports it, however the intervals are grouped.
     """
     U = np.asarray(u_nodes)
-    if U.ndim != 2 or U.shape[1] != op.interior_size:
+    if U.ndim != 2:
         raise ValueError("u_nodes must be a stack of interior-node states")
     if not 0 <= n_lo < n_hi < U.shape[0]:
         raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
+    hist = _history_stack(U[:n_hi], op, grids, f"u_nodes[:{n_hi}]")
     try:
-        paths = _march(U[n_lo:n_hi], U, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
+        paths = _march(hist[n_lo:], hist, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
     except ParafracError:
         if n_hi - n_lo > 1:
             for n in range(n_lo, n_hi):

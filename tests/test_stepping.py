@@ -18,8 +18,10 @@ from parafrac import (
     run_coarse,
     run_fine_sequential,
 )
+from parafrac import stepping
 from parafrac.errors import SolverFailure
 from parafrac.l1 import FractionalWeights, gamma_2_minus
+from parafrac.problems import get_problem
 from parafrac.spectral import l2_norm
 from parafrac.stepping import _lu_solve_checked, fine_sweep_intervals
 
@@ -111,6 +113,22 @@ class TestFineInputChecks:
         grids = TimeGrids(1.0, 4, 2)
         with pytest.raises(ValueError, match="outside the supplied coarse states"):
             fine_sweep_intervals(run_coarse(paper42, op8, grids), -2, 2, op8, grids, paper42)
+
+    @pytest.mark.parametrize("entry", ["coarse_step", "fine_propagate", "fine_sweep_intervals"])
+    def test_no_march_past_the_last_interval(self, op8, paper42, entry):
+        # a history holds at most nt nodes, so no step starts at t_final
+        grids = TimeGrids(1.0, 4, 2)
+        states = np.vstack([run_coarse(paper42, op8, grids), np.zeros((1, 7))])
+        march = {
+            "coarse_step": lambda k: coarse_step(states[:k], op8, grids, paper42),
+            "fine_propagate": lambda k: fine_propagate(states[k - 1], states[:k], op8, grids,
+                                                       paper42),
+            "fine_sweep_intervals": lambda k: fine_sweep_intervals(states, 0, k, op8, grids,
+                                                                   paper42),
+        }[entry]
+        march(grids.nt)
+        with pytest.raises(ValueError, match="more than nt = 4"):
+            march(grids.nt + 1)
 
 
 class TestRunCoarse:
@@ -272,22 +290,37 @@ class TestFineSweep:
         assert peak < 1.2 * (path_bytes + grid_bytes)
 
     def test_one_grid_lookup_per_march(self, op8, paper42, monkeypatch):
+        # one b_{q/m} lookup per march, of the whole time grid, whichever
+        # intervals it marches
         lookups = []
         on_grid = FractionalWeights.on_grid
 
         def spy(self, denom, count):
-            lookups.append(denom)
+            lookups.append((denom, count))
             return on_grid(self, denom, count)
 
         monkeypatch.setattr(FractionalWeights, "on_grid", spy)
         grids = TimeGrids(1.0, 32, 4)
+        whole = [(grids.m, (grids.nt - 1) * grids.m + 1)]
         traj = run_coarse(paper42, op8, grids)
-        lookups.clear()
-        fine_sweep_intervals(traj, 0, 32, op8, grids, paper42)
-        assert lookups.count(grids.m) == 1
-        lookups.clear()
-        fine_propagate(traj[31], traj[:32], op8, grids, paper42)
-        assert lookups.count(grids.m) == 1
+        for march in (lambda: fine_sweep_intervals(traj, 0, 32, op8, grids, paper42),
+                      lambda: fine_sweep_intervals(traj, 0, 16, op8, grids, paper42),
+                      lambda: fine_propagate(traj[31], traj[:32], op8, grids, paper42),
+                      lambda: fine_propagate(traj[1], traj[:2], op8, grids, paper42)):
+            lookups.clear()
+            march()
+            assert [look for look in lookups if look[0] == grids.m] == whole
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("name", ["paper42", "linear-heat"])
+    def test_propagate_differs_from_sweep_only_in_its_solve(self, op8, name, n, monkeypatch):
+        # paper42's coefficient has a stack axis and linear-heat's has none
+        problem = get_problem(name)
+        grids = TimeGrids(1.0, 8, 4)
+        traj = run_coarse(problem, op8, grids)
+        monkeypatch.setattr(stepping, "_lu_solve_checked", stepping._stacked_solve)
+        got = fine_propagate(traj[n], traj[: n + 1], op8, grids, problem)[0]
+        assert np.array_equal(got, fine_sweep_intervals(traj, n, n + 1, op8, grids, problem)[0])
 
     def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat):
         # linear-heat's D = 1 has no stack axis, so its sweep solves one
