@@ -12,17 +12,22 @@
   range of intervals and a stack of their starts, and differ only in their
   solve.  Paths are stored substep-major (one row per substep); the coarse
   coupling of each substep waits in the path row it precedes until the
-  substep's state overwrites it, so a march holds one array.
+  substep's state overwrites it, so a march holds one path array.  Each
+  substep steps the stack in chunks of at most ``STACK_CHUNK`` states, so
+  its assembly product and systems take one chunk's storage, not the
+  stack's; a state's assembly, system and solve do not depend on the other
+  states, so the chunks leave the bits as they are.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
 one dense solve; each march only builds its history sum.  On a stack whose
 diffusion coefficient has no stack axis (it depends on neither ``u`` nor
-``t``), ``A`` and ``I - gamma A`` are built once per substep and the solve
-broadcasts that one system over the stack.  Two solves stay on purpose:
-scipy's LU with a small-pivot check for one system or a stack of one, and
-numpy's stacked ``linalg.solve`` for the sweep, which solves a block's
-systems in one call instead of one call per system but hides its pivots.
+``t``), ``A`` and ``I - gamma A`` are built once per substep and chunk,
+and the solve broadcasts that one system over the chunk.  Two solves stay
+on purpose: scipy's LU with a small-pivot check for one system or a stack
+of one, and numpy's stacked ``linalg.solve`` for the sweep, which solves a
+chunk's systems in one call instead of one call per system but hides its
+pivots.
 For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
 25 us, a loop of raw LAPACK ``getrf``/``getrs`` 54 us and a loop of scipy
 ``lu_factor``/``lu_solve`` 374 us.  An exact check per stacked system made
@@ -57,6 +62,8 @@ __all__ = [
 
 PIVOT_RTOL = 1e-14
 START_MISMATCH_TOL = 1e-10
+# states per _step in a march; bounds a substep's product and systems by one chunk
+STACK_CHUNK = 64
 
 
 @lru_cache(maxsize=32)
@@ -114,8 +121,9 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
 
     ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time,
     or a stack of states and a column of times, with the matching ``solve``.
-    On a stack, ``A`` and the system are one matrix when the coefficient has
-    no stack axis (see :func:`assemble_diffusion`), else one per state.
+    On a stack (one chunk of a march), ``A`` and the system are one matrix
+    when the coefficient has no stack axis (see :func:`assemble_diffusion`),
+    else one per state.
     The system is built in the storage of the fresh ``A``, and ``history``,
     a fresh array, becomes the right-hand side in place.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding,
@@ -215,12 +223,15 @@ def _march(start, hist, n, op, grids, problem, solve):
     ``n`` is a range of intervals and ``start`` their stacked first states;
     ``hist`` (coarse states from node 0) enters through the coarse coupling,
     which waits in the path row it precedes until that substep's state
-    replaces it, so a march holds one array.  The ``b_{q/m}`` grid of the
-    whole time grid is fetched first: it grows before the path array exists,
-    and a process's grid does not depend on what it marched first.  A
-    failure names ``(n.start, r)``.  The history is an ``einsum``: a BLAS
-    gemv rounds a column by its place in the row, which would tie the bits
-    to the grouping.
+    replaces it.  Each substep's history sum covers the whole stack, and its
+    :func:`_step` runs on chunks of at most ``STACK_CHUNK`` states, each
+    writing its part of the path row, so a march holds one path array plus
+    one chunk's temporaries.  The ``b_{q/m}`` grid of the whole time grid is
+    fetched first: it grows before the path array exists, and a process's
+    grid does not depend on what it marched first.  A failure in any chunk
+    names ``(n.start, r)``.  The history is an ``einsum``: a BLAS gemv
+    rounds a column by its place in the row, which would tie the bits to
+    the grouping.
     """
     m = grids.m
     alpha = problem.alpha
@@ -237,8 +248,11 @@ def _march(start, hist, n, op, grids, problem, solve):
     flat = paths.reshape(m + 1, -1)
     for r, row in enumerate(rows, 1):
         history = np.einsum("j,jk->k", row, flat[:r]).reshape(start.shape)
-        paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam,
-                         history, paths[r], solve, (n.start, r))
+        times = base_t + (r - 1) * grids.dt
+        for lo in range(0, len(n), STACK_CHUNK):
+            part = slice(lo, lo + STACK_CHUNK)
+            paths[r, part] = _step(op, problem, paths[r - 1, part], times[part], gam,
+                                   history[part], paths[r, part], solve, (n.start, r))
     return paths
 
 

@@ -212,33 +212,36 @@ class TestFineSweep:
             want, _ = fine_propagate(traj[n], traj[: n + 1], op8, grids, paper42)
             assert np.abs(batched[n] - want).max() <= 1e-13
 
-    def test_block_split_invariance(self, op8, op16, paper42):
-        grids = TimeGrids(1.0, 8, 4)
-        traj = run_coarse(paper42, op8, grids)
-        whole = fine_sweep_intervals(traj, 0, 8, op8, grids, paper42)
-        pieces = np.vstack([
-            fine_sweep_intervals(traj, 0, 3, op8, grids, paper42),
-            fine_sweep_intervals(traj, 3, 5, op8, grids, paper42),
-            fine_sweep_intervals(traj, 5, 8, op8, grids, paper42),
-        ])
-        assert np.array_equal(whole, pieces)
-
-        # every split point and every single interval: dt = 1/180 is not a
-        # power of two, and 15 interior values make every history row an odd
-        # width.  A BLAS gemv history rounds such rows by their position in
-        # the block, which moves endpoints here once substeps reach about 10
-        grids = TimeGrids(1.0, 6, 30)
-        traj = run_coarse(paper42, op16, grids)
-        whole = fine_sweep_intervals(traj, 0, 6, op16, grids, paper42)
-        for split in range(1, 6):
+    def test_block_split_invariance(self, op8, op16, paper42, monkeypatch):
+        # a chunk of 1 or 3 splits every stack below; 64 holds every stack whole
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(stepping, "STACK_CHUNK", chunk)
+            grids = TimeGrids(1.0, 8, 4)
+            traj = run_coarse(paper42, op8, grids)
+            whole = fine_sweep_intervals(traj, 0, 8, op8, grids, paper42)
             pieces = np.vstack([
-                fine_sweep_intervals(traj, 0, split, op16, grids, paper42),
-                fine_sweep_intervals(traj, split, 6, op16, grids, paper42),
+                fine_sweep_intervals(traj, 0, 3, op8, grids, paper42),
+                fine_sweep_intervals(traj, 3, 5, op8, grids, paper42),
+                fine_sweep_intervals(traj, 5, 8, op8, grids, paper42),
             ])
-            assert np.array_equal(whole, pieces), split
-        for n in range(6):
-            single = fine_sweep_intervals(traj, n, n + 1, op16, grids, paper42)
-            assert np.array_equal(whole[n], single[0]), n
+            assert np.array_equal(whole, pieces), chunk
+
+            # every split point and every single interval: dt = 1/180 is not a
+            # power of two, and 15 interior values make every history row an odd
+            # width.  A BLAS gemv history rounds such rows by their position in
+            # the block, which moves endpoints here once substeps reach about 10
+            grids = TimeGrids(1.0, 6, 30)
+            traj = run_coarse(paper42, op16, grids)
+            whole = fine_sweep_intervals(traj, 0, 6, op16, grids, paper42)
+            for split in range(1, 6):
+                pieces = np.vstack([
+                    fine_sweep_intervals(traj, 0, split, op16, grids, paper42),
+                    fine_sweep_intervals(traj, split, 6, op16, grids, paper42),
+                ])
+                assert np.array_equal(whole, pieces), (chunk, split)
+            for n in range(6):
+                single = fine_sweep_intervals(traj, n, n + 1, op16, grids, paper42)
+                assert np.array_equal(whole[n], single[0]), (chunk, n)
 
     def test_sweep_holds_one_path_array(self, op8, paper42):
         # the coarse coupling waits in the path rows, so a warm sweep's peak
@@ -257,8 +260,9 @@ class TestFineSweep:
 
     def test_stacked_substep_builds_interior_system_only(self, op16, paper42):
         # D = 1 + u has a stack axis: each substep builds one (B, n-1, n+1)
-        # product and turns the (B, n-1, n-1) block it gives into I - gamma A
-        # in place, with no full-grid matrices and no copy of the system
+        # product per chunk and turns the (B, n-1, n-1) block it gives into
+        # I - gamma A in place, with no full-grid matrices and no copy of the
+        # system; the 64 intervals here are one chunk
         grids = TimeGrids(1.0, 64, 2)
         traj = run_coarse(paper42, op16, grids)
         fine_sweep_intervals(traj, 0, 64, op16, grids, paper42)
@@ -272,6 +276,23 @@ class TestFineSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2.45 * (path_bytes + system_bytes)
+
+    def test_substep_temporaries_bounded_by_one_chunk(self, op16, paper42):
+        # 256 intervals are four chunks: a substep's product and systems are
+        # built for one chunk at a time, not for the whole stack
+        grids = TimeGrids(1.0, 256, 2)
+        traj = run_coarse(paper42, op16, grids)
+        fine_sweep_intervals(traj, 0, 256, op16, grids, paper42)
+        size = op16.interior_size
+        path_bytes = (grids.m + 1) * grids.nt * size * 8
+        chunk_bytes = stepping.STACK_CHUNK * size * ((size + 2) + size) * 8
+        tracemalloc.start()
+        try:
+            fine_sweep_intervals(traj, 0, 256, op16, grids, paper42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path_bytes + 2 * chunk_bytes
 
     def test_cold_sweep_grows_grid_before_path_array(self, op8, paper42):
         # no other test uses this order, so the sweep starts with no b_{q/m}
@@ -322,15 +343,25 @@ class TestFineSweep:
         got = fine_propagate(traj[n], traj[: n + 1], op8, grids, problem)[0]
         assert np.array_equal(got, fine_sweep_intervals(traj, n, n + 1, op8, grids, problem)[0])
 
-    def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat):
+    def test_coefficient_without_stack_axis_same_bits(self, op16, linear_heat, monkeypatch):
         # linear-heat's D = 1 has no stack axis, so its sweep solves one
-        # broadcast system per substep; written with a stack axis, it solves
-        # one system per interval
+        # broadcast system per substep and chunk; written with a stack axis,
+        # it solves one system per interval.  Split into chunks or not, a
+        # stack gives the bits of its intervals marched one at a time, also
+        # for D = 1 + t, which has one value per interval
         grids = TimeGrids(1.0, 8, 6)
         traj = run_coarse(linear_heat, op16, grids)
         stacked = dataclasses.replace(linear_heat, diffusion=lambda x, t, u: 1.0 + 0.0 * u)
-        assert np.array_equal(fine_sweep_intervals(traj, 0, 8, op16, grids, linear_heat),
-                              fine_sweep_intervals(traj, 0, 8, op16, grids, stacked))
+        timed = dataclasses.replace(linear_heat, diffusion=lambda x, t, u: 1.0 + t)
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(stepping, "STACK_CHUNK", chunk)
+            whole = fine_sweep_intervals(traj, 0, 8, op16, grids, linear_heat)
+            assert np.array_equal(whole, fine_sweep_intervals(traj, 0, 8, op16, grids, stacked))
+            timed_whole = fine_sweep_intervals(traj, 0, 8, op16, grids, timed)
+            for problem, endpoints in ((linear_heat, whole), (timed, timed_whole)):
+                for n in range(8):
+                    single = fine_sweep_intervals(traj, n, n + 1, op16, grids, problem)
+                    assert np.array_equal(endpoints[n], single[0]), (chunk, n)
 
     def test_coefficient_without_stack_axis_builds_one_system(self, op16, linear_heat):
         # one (interior, interior) system per substep, not one per interval
@@ -439,9 +470,10 @@ class TestSolverGuards:
                 _lu_solve_checked(singular, np.ones(3), step=5)
         assert err.value.step == 5
 
-    def test_fine_sweep_names_first_failing_interval(self, op8):
+    def test_fine_sweep_names_first_failing_interval(self, op8, monkeypatch):
         # interval 2 fails from substep 4 and interval 6 from substep 2; every
-        # stack that holds interval 2 names it, as chain_fine does
+        # stack that holds interval 2 names it, as chain_fine does, also when
+        # either fails in a later chunk of its stack
         def source(x, t, u):
             bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
             return np.where(bad, np.nan, 0.0) + 0.0 * u
@@ -450,11 +482,13 @@ class TestSolverGuards:
                             lambda x: np.sin(np.pi * np.asarray(x)))
         grids = TimeGrids(1.0, 8, 4)
         traj = np.zeros((grids.nt + 1, op8.interior_size))
-        for lo, hi, want in ((0, 8, (2, 4)), (1, 8, (2, 4)), (2, 7, (2, 4)), (2, 3, (2, 4)),
-                             (3, 8, (6, 2)), (6, 7, (6, 2))):
-            with pytest.raises(SolverFailure) as err:
-                fine_sweep_intervals(traj, lo, hi, op8, grids, prob)
-            assert err.value.step == want, (lo, hi)
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(stepping, "STACK_CHUNK", chunk)
+            for lo, hi, want in ((0, 8, (2, 4)), (1, 8, (2, 4)), (2, 7, (2, 4)), (2, 3, (2, 4)),
+                                 (3, 8, (6, 2)), (6, 7, (6, 2))):
+                with pytest.raises(SolverFailure) as err:
+                    fine_sweep_intervals(traj, lo, hi, op8, grids, prob)
+                assert err.value.step == want, (chunk, lo, hi)
 
     def test_chain_fine_matches_manual_chaining(self, op8, paper42):
         grids = TimeGrids(1.0, 4, 2)

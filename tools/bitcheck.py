@@ -20,10 +20,15 @@ interval): ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
 ``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
 ``fine_sweep_intervals`` (all intervals, and 1..nt-2) and
 ``parareal_solve`` at threads 1, 2, 3 and 8 (states, the three caches,
-diffs, errors against the reference and the iteration count).  Failure
-paths are covered too: on three failing problems (a NaN source inside one
-interval, NaN sources in two intervals, and a fine system that is singular
-up to rounding) the outcome of ``chain_fine``, ``run_fine_sequential`` and
+diffs, errors against the reference and the iteration count).  A march
+steps its stack of intervals in chunks of 64 states, and every assembly
+shape crosses a chunk boundary: one matrix per state on ``quasilinear-8k``
+(``D = 1 + u``), a scalar ``D`` on ``constant-D-n8-nt80-m2``, and ``1 + x``
+and ``1 + t`` on the custom problems at ``nt = 80``.  Failure paths are
+covered too: on four failing problems (a NaN source inside one interval,
+NaN sources in two intervals, a NaN source inside interval 70 of 80, past
+the first chunk of a one-process sweep, and a fine system that is
+singular up to rounding) the outcome of ``chain_fine``, ``run_fine_sequential`` and
 ``parareal_solve`` at each thread count is saved as a string, the exception
 type with its location.  The calculators are covered on valid inputs:
 ``lipschitz_coarse`` and ``lipschitz_fine`` over a fixed grid of steps,
@@ -69,6 +74,7 @@ CONFIGS = (
     ("linear-heat-n12-nt7-m5", "linear-heat", 12, 7, 5, 1e-10, 25),
     ("paper42-n8-nt4-m4-k6", "paper42", 8, 4, 4, None, 6),
     ("constant-D-n16-nt16-m8", "constant-D", 16, 16, 8, 1e-10, 25),
+    ("constant-D-n8-nt80-m2", "constant-D", 8, 80, 2, 1e-10, 25),
 )
 
 
@@ -77,18 +83,21 @@ def _custom_problems(pf):
 
     ``D = 1 + x`` has one value per node, so a stacked sweep assembles one
     matrix for all its intervals; ``D = 1 + t`` has one value per interval,
-    so it assembles one matrix per interval.
+    so it assembles one matrix per interval.  Each runs at ``nt = 8`` and at
+    ``nt = 80``, where a stack of all intervals spans two chunks of a march.
     """
     from parafrac.problems import ProblemSpec, decaying_sine_source
 
     def sine(x):
         return np.sin(np.pi * np.asarray(x))
 
+    x_only = ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + x, decaying_sine_source, sine)
+    t_only = ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + t, decaying_sine_source, sine)
     return (
-        ("x-only-n8-nt8-m4", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + x,
-                                         decaying_sine_source, sine), 8, 8, 4, 1e-10, 25),
-        ("t-only-n8-nt8-m4", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: 1.0 + t,
-                                         decaying_sine_source, sine), 8, 8, 4, 1e-10, 25),
+        ("x-only-n8-nt8-m4", x_only, 8, 8, 4, 1e-10, 25),
+        ("t-only-n8-nt8-m4", t_only, 8, 8, 4, 1e-10, 25),
+        ("x-only-n8-nt80-m2", x_only, 8, 80, 2, 1e-10, 25),
+        ("t-only-n8-nt80-m2", t_only, 8, 80, 2, 1e-10, 25),
     )
 
 
@@ -107,6 +116,9 @@ def _failing_problems(pf):
         bad = ((t > 2 / 8 + 2.5 / 32) & (t < 3 / 8)) | ((t > 6 / 8 + 0.5 / 32) & (t < 7 / 8))
         return np.where(bad, np.nan, 0.0) + 0.0 * u
 
+    def past_first_chunk(x, t, u):  # NaN strictly inside interval 70 of 80
+        return np.where((t > 70 / 80) & (t < 71 / 80), np.nan, 0.0) + 0.0 * u
+
     def unit(x, t, u):
         return 1.0
 
@@ -124,6 +136,8 @@ def _failing_problems(pf):
          grids),
         ("near-singular-fine", ProblemSpec(0.0, 1.0, 1.0, 0.5, lambda x, t, u: diff,
                                            lambda x, t, u: 0.0, sine), op, near),
+        ("nan-past-first-chunk", ProblemSpec(0.0, 1.0, 1.0, 0.5, unit, past_first_chunk, sine),
+         op, pf.TimeGrids(1.0, 80, 2)),
     )
 
 
