@@ -5,9 +5,10 @@ Subcommands: ``solve`` (trajectory CSV), ``parareal`` (per-iteration CSV),
 (binomial sums and their estimates), ``truncation`` (hybrid-operator error
 study).  A ``key = value`` config file can preset everything; explicit
 flags override it, and each value is parsed to the type of the
-:class:`RunConfig` field it sets.  Each command returns its CSV header and
-rows; :func:`main` writes them to ``--out`` (default ``<command>.csv``).
-Diagnostics go to stderr.
+:class:`RunConfig` field it sets.  Each setting is checked by the code
+that uses it, so a command ignores the settings it does not use.  Each
+command returns its CSV header and rows; :func:`main` writes them to
+``--out`` (default ``<command>.csv``).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import BoundParams, double_sum_bound, double_sum_exact, single_sum_bound, single_sum_exact
 from .errors import ParafracError
-from .harness import TRUNCATION_FUNCTIONS, bench_sweep, truncation_study
+from .harness import TRUNCATION_FUNCTIONS, bench_point, truncation_study
 from .l1 import TimeGrids
 from .parareal import parareal_solve
 from .problems import get_problem, registry_names
@@ -57,31 +58,6 @@ class RunConfig:
     bound_b: float = 1.1
     bound_c: float = 1.001
     bound_n: int = 10
-
-    def validate(self):
-        # nt, m and the degree are checked where they are used (TimeGrids,
-        # build_operator, bench_point), so a command that uses none runs
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.kmax < 1:
-            raise ValueError("kmax must be at least 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.solver not in ("fine", "coarse"):
-            raise ValueError("solver must be 'fine' or 'coarse'")
-        if self.function not in TRUNCATION_FUNCTIONS:
-            raise ValueError(f"unknown test function {self.function!r}")
-        if any(d < 1 for d in self.sweep):
-            raise ValueError("sweep entries must be positive integers")
-        # the bounds settings, by their owner's rule (k = 0 is always in range);
-        # its messages start with the field, which is the setting less "bound_"
-        try:
-            BoundParams(self.bound_a, self.bound_b, self.bound_c, self.bound_n, 0)
-        except ValueError as exc:
-            raise ValueError(f"bound_{exc}") from None
-        return self
 
 
 def _value_type(hint):
@@ -161,7 +137,7 @@ def _config_from_sources(args):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return RunConfig(**overrides).validate()
+    return RunConfig(**overrides)
 
 
 def _write_csv(path, header, rows):
@@ -187,12 +163,15 @@ def _setup(cfg):
     return problem, op, grids
 
 
+# --solver name -> the coarse-node trajectory of that propagator
+_SOLVERS = {"fine": lambda *setup: run_fine_sequential(*setup)[0], "coarse": run_coarse}
+
+
 def cmd_solve(cfg):
+    if cfg.solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {cfg.solver!r}; choices: {', '.join(sorted(_SOLVERS))}")
     problem, op, grids = _setup(cfg)
-    if cfg.solver == "coarse":
-        states = run_coarse(problem, op, grids)
-    else:
-        states, _ = run_fine_sequential(problem, op, grids)
+    states = _SOLVERS[cfg.solver](problem, op, grids)
     rows = [
         (n, n * grids.dT, l2_norm(op, states[n]), float(states[n].min()), float(states[n].max()))
         for n in range(grids.nt + 1)
@@ -231,18 +210,11 @@ def cmd_bench(cfg):
     if not cfg.sweep:
         raise ValueError("bench needs a nonempty --sweep list of dof values")
     threads = _effective_threads(cfg)
-    records = bench_sweep(
-        cfg.problem,
-        cfg.sweep,
-        alpha=cfg.alpha,
-        t_final=cfg.t_final,
-        degree=cfg.degree,
-        m=cfg.m,
-        tol=cfg.tol,
-        k_max=cfg.kmax,
-        threads=threads,
-        reps=cfg.reps,
-    )
+    records = [
+        bench_point(cfg.problem, dof, alpha=cfg.alpha, t_final=cfg.t_final, degree=cfg.degree,
+                    m=cfg.m, tol=cfg.tol, k_max=cfg.kmax, threads=threads, reps=cfg.reps)
+        for dof in cfg.sweep
+    ]
     header = (
         "dof", "nt", "m", "degree", "threads",
         "wall_time_fine", "wall_time_parareal", "speedup", "iterations_used",
@@ -252,11 +224,17 @@ def cmd_bench(cfg):
 
 
 def cmd_bounds(cfg):
+    # k = 0 is always in range; BoundParams' messages start with the field,
+    # which is the setting less "bound_"
+    try:
+        params = BoundParams(cfg.bound_a, cfg.bound_b, cfg.bound_c, cfg.bound_n, 0)
+    except ValueError as exc:
+        raise ValueError(f"bound_{exc}") from None
     sums = (double_sum_exact, double_sum_bound, single_sum_exact, single_sum_bound)
     rows = []
-    for k in range(cfg.bound_n + 1):
-        params = BoundParams(a=cfg.bound_a, b=cfg.bound_b, c=cfg.bound_c, n=cfg.bound_n, k=k)
-        rows.append((k, *(fn(params) for fn in sums)))
+    for k in range(params.n + 1):
+        at_k = dataclasses.replace(params, k=k)
+        rows.append((k, *(fn(at_k) for fn in sums)))
     return ("k", "double_sum", "double_bound", "single_sum", "single_bound"), rows
 
 
@@ -304,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run one solver and dump the coarse-node trajectory")
     _add_common(p)
-    p.add_argument("--solver", choices=("fine", "coarse"), help="which propagator to run")
+    p.add_argument("--solver", choices=sorted(_SOLVERS), help="which propagator to run")
 
     p = sub.add_parser("parareal", help="run the parareal iteration")
     _add_common(p)

@@ -1,6 +1,6 @@
 """Measurement drivers behind the CLI.
 
-Benchmark sweeps time the sequential fine solver against the parareal
+A benchmark point times the sequential fine solver against the parareal
 driver at matched degrees of freedom, and the truncation study measures
 the pointwise error of the hybrid Caputo operator against analytic
 derivatives on refinement sequences.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import TimeGrids, _is_integer, caputo_power, discrete_caputo_hybrid
-from .parareal import parareal_solve
+from .parareal import _check_settings, parareal_solve
 from .problems import get_problem
 from .spectral import build_operator
 from .stepping import run_fine_sequential
@@ -25,7 +25,6 @@ __all__ = [
     "TRUNCATION_FUNCTIONS",
     "TruncationStudy",
     "bench_point",
-    "bench_sweep",
     "fit_loglog",
     "truncation_study",
 ]
@@ -52,9 +51,11 @@ class BenchRecord:
     tracemalloc cannot see the worker processes of ``threads > 1``.  Both
     peaks are taken after the timed runs, which have already built the
     weight grids a solve reads, so they leave out the grid growth of a cold
-    first solve that perfbench's ``*_peak_mib`` includes.  The field order
-    is the column order of the ``parafrac bench`` CSV, which writes each
-    record as ``dataclasses.astuple(record)``.
+    first solve that perfbench's ``*_peak_mib`` includes.  Neither peak
+    repeats exactly: the same solve traced twice, in one process or in two,
+    differs by about 1%, so compare them only to that precision.  The
+    field order is the column order of the ``parafrac bench`` CSV, which
+    writes each record as ``dataclasses.astuple(record)``.
     """
 
     dof: int
@@ -100,12 +101,15 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
     order and horizon.  Timing is the minimum over ``reps`` repetitions after
     ``warmup`` discarded runs; the memory pass runs separately so tracing
     does not pollute the timings.  ``dof``, ``m`` and ``reps`` must be
-    positive integers and ``warmup`` a nonnegative one.
+    positive integers and ``warmup`` a nonnegative one; ``tol``, ``k_max``
+    and ``threads`` follow :func:`~parafrac.parareal.parareal_solve`, and
+    all of them are checked before any solve runs.
     """
     counts = (("dof", dof, 1), ("m", m, 1), ("reps", reps, 1), ("warmup", warmup, 0))
     for name, count, least in counts:
         if not _is_integer(count) or count < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+    _check_settings(tol, k_max, threads)  # before the fine solver's timed runs
     m_eff = min(m, dof)
     nt = dof // m_eff
     problem = get_problem(problem_name, alpha=alpha, t_final=t_final)
@@ -137,13 +141,6 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
         peak_alloc_fine=peak_fine,
         peak_alloc_parareal=peak_para,
     )
-
-
-def bench_sweep(problem_name, dofs, **kwargs):
-    """Benchmark every dof in the sweep list; returns the records in order."""
-    if not dofs:
-        raise ValueError("benchmark sweep must not be empty")
-    return [bench_point(problem_name, dof, **kwargs) for dof in dofs]
 
 
 # -- truncation study --------------------------------------------------------

@@ -37,6 +37,11 @@ def _check_alpha(alpha):
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha}")
 
 
+def _check_t_final(t_final):
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"final time must be positive and finite, got {t_final}")
+
+
 def _is_integer(count):
     """A Python or numpy integer; ``bool`` and floats are not counts."""
     return isinstance(count, (int, np.integer)) and not isinstance(count, bool)
@@ -87,8 +92,7 @@ class TimeGrids:
     m: int
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"final time must be positive, got {self.t_final}")
+        _check_t_final(self.t_final)
         counts = (self.nt, self.m)
         if not all(_is_integer(c) and c >= 1 for c in counts):
             raise ValueError(f"grid counts nt and m must be positive integers, got {counts}")

@@ -205,6 +205,15 @@ def _solve(problem, op, grids, tol, k_max, threads, reference):
     return PararealIterate(report.iterations, u_curr, g_new, g_old, f_old), report
 
 
+def _check_settings(tol, k_max, threads):
+    """The rule for :func:`parareal_solve`'s settings, for callers that check them early."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+        raise ValueError(f"tolerance must be a positive number, got {tol!r}")
+    for name, count in (("k_max", k_max), ("threads", threads)):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+
+
 def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference=None):
     """Run the parareal iteration; returns ``(iterate, report)``.
 
@@ -213,11 +222,7 @@ def parareal_solve(problem, op, grids, tol=1e-10, k_max=20, threads=1, reference
     carries the final-node error against it for every iterate, including
     the initial coarse sweep.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-        raise ValueError(f"tolerance must be a positive number, got {tol!r}")
-    for name, count in (("k_max", k_max), ("threads", threads)):
-        if not _is_integer(count) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    _check_settings(tol, k_max, threads)
     want = (grids.nt + 1, op.interior_size)
     if reference is not None and np.shape(reference) != want:
         raise ValueError(f"reference has shape {np.shape(reference)}, expected {want}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .l1 import _check_alpha
+from .l1 import _check_alpha, _check_t_final
 
 __all__ = ["ProblemSpec", "get_problem", "registry_names"]
 
@@ -45,8 +45,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"invalid interval [{self.a}, {self.b}]")
-        if not self.t_final > 0:
-            raise ValueError(f"final time must be positive, got {self.t_final}")
+        _check_t_final(self.t_final)
         _check_alpha(self.alpha)
         for endpoint in (self.a, self.b):
             if abs(float(self.initial(endpoint))) > BOUNDARY_TOL:

@@ -34,7 +34,7 @@ from parafrac import (
     single_sum_exact,
     iteration_error_bound,
 )
-from parafrac.harness import bench_sweep, fit_loglog
+from parafrac.harness import bench_point, fit_loglog
 from parafrac.l1 import weights_for
 from parafrac.parareal import _solve
 from parafrac.spectral import l2_norm
@@ -266,11 +266,11 @@ def test_criterion_09_error_bound_domination():
 @pytest.fixture(scope="module")
 def speedup_records():
     threads = min(4, os.cpu_count() or 1)
-    return threads, bench_sweep(
-        "paper42", (2**10, 2**12, 2**13),
-        m=32, degree=16, tol=1e-10, k_max=25, threads=threads,
-        reps=2, warmup=1, measure_memory=False,
-    )
+    return threads, [
+        bench_point("paper42", dof, m=32, degree=16, tol=1e-10, k_max=25, threads=threads,
+                    reps=2, warmup=1, measure_memory=False)
+        for dof in (2**10, 2**12, 2**13)
+    ]
 
 
 def test_criterion_10_speedup_trend(speedup_records):

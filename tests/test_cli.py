@@ -68,12 +68,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_text("nt = 3\n")
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(tol=0.0).validate()
-        with pytest.raises(ValueError):
-            RunConfig(solver="magic").validate()
-
 
 class TestConfigErrors:
     @pytest.mark.parametrize("line", ["reference = maybe", "tol ="])
@@ -83,6 +77,20 @@ class TestConfigErrors:
         code = main(["parareal", "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, setting", [
+        ("parareal", "tol = 0"), ("solve", "solver = magic"), ("truncation", "function = nope"),
+    ])
+    def test_bad_setting_stops_its_user(self, tmp_path, monkeypatch, capsys, command, setting):
+        # each setting is checked by the code that uses it, before any CSV
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"[run]\n{setting}\n")
+        argv = [command, "--config", "run.cfg", "--problem", "zero", "--nt", "2", "--m", "1",
+                "--n", "4"]
+        assert main(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and setting.split(" =")[0] in last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 class TestDefaultOutput:
@@ -165,8 +173,25 @@ class TestPararealCommand:
 
 class TestBenchCommand:
     def test_sweep_required(self, tmp_path, capsys):
-        assert main(["bench", "--out", str(tmp_path / "b.csv")]) == 2
-        assert "sweep" in capsys.readouterr().err
+        out = tmp_path / "b.csv"
+        for sweep in ([], ["--sweep", ","]):
+            assert main(["bench", *sweep, "--out", str(out)]) == 2
+            assert "sweep" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--tol", "0"], ["--kmax", "0"], ["--threads", "0"]])
+    def test_parareal_settings_checked_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                        flag):
+        import parafrac.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_fine_sequential",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--problem", "zero", "--n", "4", "--m", "2", "--sweep", "8",
+                     "--reps", "1", *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+        assert calls == [] and not out.exists()
 
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -256,11 +281,11 @@ class TestBadSweepOrDepth:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("setting", ["bound_n = 0", "bound_n = 513", "bound_c = nan"])
-    def test_bad_bound_setting_stops_any_command(self, tmp_path, capsys, setting):
+    def test_bad_bound_setting_stops_bounds(self, tmp_path, capsys, setting):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"[run]\n{setting}\n")
-        out = tmp_path / "s.csv"
-        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error:")
         assert setting.split(" =")[0] in last
@@ -273,6 +298,27 @@ class TestBadSweepOrDepth:
         out = tmp_path / "b.csv"
         assert main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert len(read_csv(out)[1]) == 11
+
+    def test_bound_and_parareal_settings_do_not_stop_solve(self, tmp_path):
+        # solve runs no parareal and builds no bound table
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[run]\nbound_n = 0\ntol = 0\nthreads = 0\n")
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", str(cfg_path), "--problem", "zero", "--nt", "2",
+                     "--m", "1", "--n", "4", "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["truncation", "--m", "2", "--sweep", "4,8", "--function", "const"],
+        ["solve", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4"],
+        ["parareal", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4"],
+    ])
+    def test_infinite_final_time_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("[run]\nt_final = inf\n")
+        assert main([*argv, "--config", "run.cfg"]) == 2
+        assert "final time" in capsys.readouterr().err.splitlines()[-1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 class TestTruncationCommand:

@@ -6,7 +6,6 @@ import pytest
 from parafrac.harness import (
     TRUNCATION_FUNCTIONS,
     bench_point,
-    bench_sweep,
     fit_loglog,
     truncation_study,
 )
@@ -136,7 +135,3 @@ class TestBench:
                     "measure_memory": False, **kwargs}
             with pytest.raises(ValueError):
                 bench_point("paper42", args.pop("dof"), **args)
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            bench_sweep("paper42", ())

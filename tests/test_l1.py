@@ -14,6 +14,7 @@ from parafrac import (
     caputo_power,
     discrete_caputo_coarse,
     discrete_caputo_hybrid,
+    get_problem,
     l1_weight,
 )
 from parafrac.l1 import FractionalWeights, _telescoped, gamma_2_minus, weights_for
@@ -256,6 +257,14 @@ class TestTimeGrids:
     def test_non_integer_counts_rejected(self, nt, m):
         with pytest.raises(ValueError, match="integers"):
             TimeGrids(1.0, nt, m)
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, math.inf, math.nan])
+    def test_final_time_positive_and_finite(self, t_final):
+        # both owners of a final time apply the one rule
+        with pytest.raises(ValueError, match="final time"):
+            TimeGrids(t_final, 4, 2)
+        with pytest.raises(ValueError, match="final time"):
+            get_problem("paper42", t_final=t_final)
 
     def test_numpy_integer_counts_accepted(self):
         grids = TimeGrids(1.0, np.int64(4), np.int32(2))
