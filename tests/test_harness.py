@@ -135,3 +135,14 @@ class TestBench:
                     "measure_memory": False, **kwargs}
             with pytest.raises(ValueError):
                 bench_point("paper42", args.pop("dof"), **args)
+
+    def test_empty_sweep_rejected(self, monkeypatch):
+        # the empty-sweep rule lives in cli.cmd_bench, which loops over
+        # bench_point itself; it must stop before any point is timed
+        import parafrac.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "bench_point", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="sweep"):
+            cli.cmd_bench(cli.RunConfig(sweep=()))
+        assert calls == []
