@@ -8,15 +8,16 @@
 * :func:`fine_propagate` marches one coarse interval on the fine subgrid,
   compressing everything before the interval through the coarse history
   with fractional-index weights (the parallelizable propagator).  It is a
-  one-interval :func:`fine_sweep_intervals`: both run :func:`_march` on a
-  range of intervals and a stack of their starts, and differ only in their
-  solve.  Paths are stored substep-major (one row per substep); the coarse
-  coupling of each substep waits in the path row it precedes until the
-  substep's state overwrites it, so a march holds one path array.  Each
-  substep steps the stack in chunks of at most ``STACK_CHUNK`` states, so
-  its assembly product and systems take one chunk's storage, not the
-  stack's; a state's assembly, system and solve do not depend on the other
-  states, so the chunks leave the bits as they are.
+  one-interval :func:`fine_sweep_intervals`, which runs :func:`_march` on
+  a stack of interval starts, one chunk of at most ``STACK_CHUNK``
+  intervals at a time; the two differ only in their solve.  Paths are
+  stored substep-major (one row per substep); the coarse coupling of each
+  substep waits in the path row it precedes until the substep's state
+  overwrites it, so a march holds one path array, and a chunk's endpoints
+  are copied out before the next chunk's march, so a process holds one
+  chunk's path array and temporaries, whatever its block size.  An
+  interval's history sum, assembly, system and solve do not depend on the
+  other intervals, so the chunks leave the bits as they are.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
@@ -62,7 +63,7 @@ __all__ = [
 
 PIVOT_RTOL = 1e-14
 START_MISMATCH_TOL = 1e-10
-# states per _step in a march; bounds a substep's product and systems by one chunk
+# intervals per march in a sweep; bounds a process's path array and temporaries
 STACK_CHUNK = 64
 
 
@@ -121,7 +122,7 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
 
     ``A`` and ``f`` are frozen at ``(u_prev, t_prev)``: one state and time,
     or a stack of states and a column of times, with the matching ``solve``.
-    On a stack (one chunk of a march), ``A`` and the system are one matrix
+    On a stack (one chunk of a sweep), ``A`` and the system are one matrix
     when the coefficient has no stack axis (see :func:`assemble_diffusion`),
     else one per state.
     The system is built in the storage of the fresh ``A``, and ``history``,
@@ -220,18 +221,17 @@ def _coarse_contribution(bq, hist, n, m, alpha, out):
 def _march(start, hist, n, op, grids, problem, solve):
     """Fine paths ``paths[r, i]`` at nodes ``(n[i], r)``, ``r = 0..m``, substep-major.
 
-    ``n`` is a range of intervals and ``start`` their stacked first states;
-    ``hist`` (coarse states from node 0) enters through the coarse coupling,
-    which waits in the path row it precedes until that substep's state
-    replaces it.  Each substep's history sum covers the whole stack, and its
-    :func:`_step` runs on chunks of at most ``STACK_CHUNK`` states, each
-    writing its part of the path row, so a march holds one path array plus
-    one chunk's temporaries.  The ``b_{q/m}`` grid of the whole time grid is
-    fetched first: it grows before the path array exists, and a process's
-    grid does not depend on what it marched first.  A failure in any chunk
-    names ``(n.start, r)``.  The history is an ``einsum``: a BLAS gemv
-    rounds a column by its place in the row, which would tie the bits to
-    the grouping.
+    ``n`` is a range of intervals, one chunk of a sweep, and ``start`` their
+    stacked first states; ``hist`` (coarse states from node 0) enters
+    through the coarse coupling, which waits in the path row it precedes
+    until that substep's state replaces it.  Each substep is one history
+    sum and one :func:`_step` on the whole stack, so a march holds one path
+    array plus one substep's temporaries.  The ``b_{q/m}`` grid of the
+    whole time grid and the fine weight rows are fetched first: the grids
+    grow before the path array exists, and a process's grids do not depend
+    on what it marched first.  A failure names ``(n.start, r)``.  The
+    history is an ``einsum``: a BLAS gemv rounds a column by its place in
+    the row, which would tie the bits to the grouping.
     """
     m = grids.m
     alpha = problem.alpha
@@ -248,11 +248,8 @@ def _march(start, hist, n, op, grids, problem, solve):
     flat = paths.reshape(m + 1, -1)
     for r, row in enumerate(rows, 1):
         history = np.einsum("j,jk->k", row, flat[:r]).reshape(start.shape)
-        times = base_t + (r - 1) * grids.dt
-        for lo in range(0, len(n), STACK_CHUNK):
-            part = slice(lo, lo + STACK_CHUNK)
-            paths[r, part] = _step(op, problem, paths[r - 1, part], times[part], gam,
-                                   history[part], paths[r, part], solve, (n.start, r))
+        paths[r] = _step(op, problem, paths[r - 1], base_t + (r - 1) * grids.dt, gam, history,
+                         paths[r], solve, (n.start, r))
     return paths
 
 
@@ -282,15 +279,17 @@ def fine_propagate(start, coarse_history, op, grids, problem):
 
 
 def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
-    """Fine endpoints for the intervals ``n_lo..n_hi-1``, marched together.
+    """Fine endpoints for the intervals ``n_lo..n_hi-1``, marched in chunks.
 
-    The same interval march as :func:`fine_propagate`, on a stack of
-    intervals with one stacked solve per substep.  Results do not depend on
-    how intervals are grouped, which keeps the parallel driver deterministic
-    for any thread count.  When a stack of several intervals fails, they are
-    marched again one at a time, in order, so a failure names the first
-    failing interval at its first failing substep, as :func:`chain_fine`
-    reports it, however the intervals are grouped.
+    The same interval march as :func:`fine_propagate`, one :func:`_march`
+    per chunk of at most ``STACK_CHUNK`` intervals, with one stacked solve
+    per substep; a chunk's endpoints are copied out before the next chunk's
+    path array exists.  Results do not depend on how intervals are grouped,
+    which keeps the parallel driver deterministic for any thread count.
+    When a chunk fails, the chunks before it have finished, so its
+    intervals are marched again one at a time, in order: a failure names
+    the first failing interval at its first failing substep, as
+    :func:`chain_fine` reports it, however the intervals are grouped.
     """
     U = np.asarray(u_nodes)
     if U.ndim != 2:
@@ -298,14 +297,18 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     if not 0 <= n_lo < n_hi < U.shape[0]:
         raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
     hist = _history_stack(U[:n_hi], op, grids, f"u_nodes[:{n_hi}]")
-    try:
-        paths = _march(hist[n_lo:], hist, range(n_lo, n_hi), op, grids, problem, _stacked_solve)
-    except ParafracError:
-        if n_hi - n_lo > 1:
-            for n in range(n_lo, n_hi):
-                fine_sweep_intervals(U, n, n + 1, op, grids, problem)
-        raise
-    return paths[-1].copy()
+    ends = []
+    for lo in range(n_lo, n_hi, STACK_CHUNK):
+        chunk = range(lo, min(lo + STACK_CHUNK, n_hi))
+        try:
+            ends.append(_march(hist[chunk.start : chunk.stop], hist, chunk, op, grids, problem,
+                               _stacked_solve)[-1].copy())
+        except ParafracError:
+            if len(chunk) > 1:
+                for n in chunk:
+                    fine_sweep_intervals(U, n, n + 1, op, grids, problem)
+            raise
+    return ends[0] if len(ends) == 1 else np.concatenate(ends)
 
 
 def chain_fine(problem, op, grids):

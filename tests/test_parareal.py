@@ -18,6 +18,7 @@ from parafrac import (
     run_coarse,
     run_fine_sequential,
 )
+from parafrac import stepping
 from parafrac.l1 import gamma_2_minus
 from parafrac.parareal import _block_bounds, _solve
 from parafrac.spectral import l2_norm
@@ -324,6 +325,58 @@ class TestFailureLocation:
             assert err.value.step == (2, 4), threads
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def _two_chunk_problem(interval_10):
+        # nt = 80, m = 2: a one-process sweep marches chunks 0..63 and 64..79.
+        # Interval 70 fails from substep 1, but only in the fine march, which
+        # passes a stack of states: a coarse step passes one state, so no
+        # coarse step fails.  Interval 10, if asked for, fails from substep 2
+        def source(x, t, u):
+            bad = (np.ndim(u) == 2) & (t > 69.75 / 80) & (t < 71 / 80)
+            if interval_10:
+                bad = bad | ((t > 10 / 80) & (t < 11 / 80))
+            return np.where(bad, np.nan, 0.0) + 0.0 * u
+
+        return make_problem(lambda x, t, u: 1.0, source,
+                            lambda x: np.sin(np.pi * np.asarray(x)))
+
+    def test_failure_order_across_chunks(self, op8):
+        # interval 70's substep 1 comes before interval 10's substep 2 in a
+        # march of all 80 intervals, but the first chunk runs all its
+        # substeps first; the failure earliest in time wins either way
+        prob = self._two_chunk_problem(interval_10=True)
+        grids = TimeGrids(1.0, 80, 2)
+        with pytest.raises(SolverFailure) as err:
+            chain_fine(prob, op8, grids)
+        assert err.value.step == (10, 2)
+        traj = run_coarse(prob, op8, grids)
+        with pytest.raises(SolverFailure) as err:
+            fine_sweep_intervals(traj, 0, 80, op8, grids, prob)
+        assert err.value.step == (10, 2)
+        for threads in (1, 2, 3, 8):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == (10, 2), threads
+        assert multiprocessing.active_children() == []
+
+    def test_only_the_failing_chunk_is_marched_again(self, op8, monkeypatch):
+        # the chunk 0..63 has finished all its substeps when 64..79 fails, so
+        # only 64..79 is marched again, one interval at a time, up to 70
+        prob = self._two_chunk_problem(interval_10=False)
+        grids = TimeGrids(1.0, 80, 2)
+        marched = []
+        march = stepping._march
+
+        def spy(start, hist, n, *args):
+            marched.append((n.start, n.stop))
+            return march(start, hist, n, *args)
+
+        monkeypatch.setattr(stepping, "_march", spy)
+        traj = np.zeros((grids.nt + 1, op8.interior_size))
+        with pytest.raises(SolverFailure) as err:
+            fine_sweep_intervals(traj, 0, 80, op8, grids, prob)
+        assert err.value.step == (70, 1)
+        assert marched == [(0, 64), (64, 80)] + [(n, n + 1) for n in range(64, 71)]
 
     def test_coarse_step_error_stands_only_when_every_block_succeeds(self, op8, paper42,
                                                                      monkeypatch):

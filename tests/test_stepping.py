@@ -245,7 +245,8 @@ class TestFineSweep:
 
     def test_sweep_holds_one_path_array(self, op8, paper42):
         # the coarse coupling waits in the path rows, so a warm sweep's peak
-        # is the (m+1, B, interior) path array plus per-substep temporaries
+        # is one chunk's (m+1, B, interior) path array, here all B = 4
+        # intervals, plus one substep's temporaries
         grids = TimeGrids(1.0, 4, 512)
         traj = run_coarse(paper42, op8, grids)
         fine_sweep_intervals(traj, 0, 4, op8, grids, paper42)
@@ -278,13 +279,13 @@ class TestFineSweep:
         assert peak < 2.45 * (path_bytes + system_bytes)
 
     def test_substep_temporaries_bounded_by_one_chunk(self, op16, paper42):
-        # 256 intervals are four chunks: a substep's product and systems are
-        # built for one chunk at a time, not for the whole stack
-        grids = TimeGrids(1.0, 256, 2)
+        # 256 intervals are four chunks, each its own march, so a sweep holds
+        # one chunk's path array and one chunk's product and systems at a time
+        grids = TimeGrids(1.0, 256, 32)
         traj = run_coarse(paper42, op16, grids)
         fine_sweep_intervals(traj, 0, 256, op16, grids, paper42)
         size = op16.interior_size
-        path_bytes = (grids.m + 1) * grids.nt * size * 8
+        path_bytes = (grids.m + 1) * stepping.STACK_CHUNK * size * 8
         chunk_bytes = stepping.STACK_CHUNK * size * ((size + 2) + size) * 8
         tracemalloc.start()
         try:
@@ -293,6 +294,22 @@ class TestFineSweep:
         finally:
             tracemalloc.stop()
         assert peak < path_bytes + 2 * chunk_bytes
+
+    def test_sweep_peak_does_not_grow_with_block(self, op16, paper42):
+        # the chunks before the last leave only their endpoints behind, so
+        # four chunks peak within 5% of one (4.3% here, the 192 held endpoints)
+        grids = TimeGrids(1.0, 256, 32)
+        traj = run_coarse(paper42, op16, grids)
+        peaks = []
+        for hi in (64, 256):
+            fine_sweep_intervals(traj, 0, hi, op16, grids, paper42)
+            tracemalloc.start()
+            try:
+                fine_sweep_intervals(traj, 0, hi, op16, grids, paper42)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
 
     def test_cold_sweep_grows_grid_before_path_array(self, op8, paper42):
         # no other test uses this order, so the sweep starts with no b_{q/m}

@@ -20,19 +20,22 @@ interval): ``run_coarse``, ``run_fine_sequential``, ``chain_fine``,
 ``fine_propagate`` (endpoint and path of intervals 0, 1, nt/2 and nt-1),
 ``fine_sweep_intervals`` (all intervals, and 1..nt-2) and
 ``parareal_solve`` at threads 1, 2, 3 and 8 (states, the three caches,
-diffs, errors against the reference and the iteration count).  A march
-steps its stack of intervals in chunks of 64 states, and every assembly
-shape crosses a chunk boundary: one matrix per state on ``quasilinear-8k``
+diffs, errors against the reference and the iteration count).  A sweep
+marches its intervals in chunks of 64, and every assembly shape crosses
+a chunk boundary: one matrix per state on ``quasilinear-8k``
 (``D = 1 + u``), a scalar ``D`` on ``constant-D-n8-nt80-m2``, and ``1 + x``
 and ``1 + t`` on the custom problems at ``nt = 80``.  Failure paths are
-covered too: on four failing problems (a NaN source inside one interval,
+covered too: on five failing problems (a NaN source inside one interval,
 NaN sources in two intervals, a NaN source inside interval 70 of 80, past
-the first chunk of a one-process sweep, and a fine system that is
-singular up to rounding) the outcome of ``chain_fine``, ``run_fine_sequential`` and
-``parareal_solve`` at each thread count is saved as a string, the exception
-type with its location.  The calculators are covered on valid inputs:
-``lipschitz_coarse`` and ``lipschitz_fine`` over a fixed grid of steps,
-orders, constants, ``m`` and ``r``; ``gronwall_brute``, ``gronwall_closed``,
+the first chunk of a one-process sweep, a NaN source in both chunks of
+that sweep, inside interval 10 from its second substep and, for the fine
+march alone, in interval 70 from its first, and a fine system that is
+singular up to rounding) the outcome of ``chain_fine``,
+``run_fine_sequential`` and ``parareal_solve`` at each thread count is
+saved as a string, the exception type with its location.  The
+calculators are covered on valid inputs: ``lipschitz_coarse`` and
+``lipschitz_fine`` over a fixed grid of steps, orders, constants, ``m``
+and ``r``; ``gronwall_brute``, ``gronwall_closed``,
 the four binomial sums and ``iteration_error_bound`` on the inputs of
 acceptance criteria 07 and 08 and on fixed constants at ``n = 8``; and the
 ``truncation_study`` rows and orders of every test function.  The assembly
@@ -119,6 +122,11 @@ def _failing_problems(pf):
     def past_first_chunk(x, t, u):  # NaN strictly inside interval 70 of 80
         return np.where((t > 70 / 80) & (t < 71 / 80), np.nan, 0.0) + 0.0 * u
 
+    def two_chunks(x, t, u):  # interval 10 from substep 2; 70 from substep 1, fine march only
+        fine_only = (np.ndim(u) == 2) & (t > 69.75 / 80) & (t < 71 / 80)
+        bad = ((t > 10 / 80) & (t < 11 / 80)) | fine_only
+        return np.where(bad, np.nan, 0.0) + 0.0 * u
+
     def unit(x, t, u):
         return 1.0
 
@@ -138,6 +146,8 @@ def _failing_problems(pf):
                                            lambda x, t, u: 0.0, sine), op, near),
         ("nan-past-first-chunk", ProblemSpec(0.0, 1.0, 1.0, 0.5, unit, past_first_chunk, sine),
          op, pf.TimeGrids(1.0, 80, 2)),
+        ("nan-two-chunks", ProblemSpec(0.0, 1.0, 1.0, 0.5, unit, two_chunks, sine), op,
+         pf.TimeGrids(1.0, 80, 2)),
     )
 
 
