@@ -30,7 +30,7 @@ from .problems import get_problem, registry_names
 from .spectral import build_operator, l2_norm
 from .stepping import run_coarse, run_fine_sequential
 
-__all__ = ["RunConfig", "emit_config", "main", "parse_config_text"]
+__all__ = ["RunConfig", "main", "parse_config_text"]
 
 CONFIG_SECTION = "run"
 
@@ -107,25 +107,6 @@ def parse_config_text(text):
             raise ValueError(f"unknown config key {key!r}")
         overrides[key] = _parse_value(key, raw)
     return overrides
-
-
-def emit_config(cfg):
-    """Render the effective config as the text the parser accepts (round-trips)."""
-    lines = [f"[{CONFIG_SECTION}]"]
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            rendered = ""
-        elif isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def _config_from_sources(args):

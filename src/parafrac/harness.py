@@ -72,9 +72,8 @@ class BenchRecord:
     peak_alloc_parareal: int
 
 
-def _best_time(fn, reps, warmup):
-    for _ in range(warmup):
-        result = fn()
+def _best_time(fn, reps):
+    fn()  # discarded warm-up run
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -93,22 +92,21 @@ def _peak_alloc(fn):
 
 
 def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32, tol=1e-10,
-                k_max=20, threads=1, reps=3, warmup=1, measure_memory=True):
+                k_max=20, threads=1, reps=3):
     """Time both solvers at ``dof = nt * m`` fine steps and report the speedup.
 
     ``m`` is clipped to ``dof`` and ``nt = dof // m`` (the realised dof is
     recorded); ``alpha`` and ``t_final`` override the builtin problem's
     order and horizon.  Timing is the minimum over ``reps`` repetitions after
-    ``warmup`` discarded runs; the memory pass runs separately so tracing
-    does not pollute the timings.  ``dof``, ``m`` and ``reps`` must be
-    positive integers and ``warmup`` a nonnegative one; ``tol``, ``k_max``
-    and ``threads`` follow :func:`~parafrac.parareal.parareal_solve`, and
-    all of them are checked before any solve runs.
+    one discarded run; the memory pass runs separately so tracing does not
+    pollute the timings.  ``dof``, ``m`` and ``reps`` must be positive
+    integers; ``tol``, ``k_max`` and ``threads`` follow
+    :func:`~parafrac.parareal.parareal_solve`, and all of them are checked
+    before any solve runs.
     """
-    counts = (("dof", dof, 1), ("m", m, 1), ("reps", reps, 1), ("warmup", warmup, 0))
-    for name, count, least in counts:
-        if not _is_integer(count) or count < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+    for name, count in (("dof", dof), ("m", m), ("reps", reps)):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     _check_settings(tol, k_max, threads)  # before the fine solver's timed runs
     m_eff = min(m, dof)
     nt = dof // m_eff
@@ -122,11 +120,11 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
     def parallel(threads=threads):
         return parareal_solve(problem, op, grids, tol=tol, k_max=k_max, threads=threads)
 
-    wall_fine, _ = _best_time(fine, reps, warmup)
-    wall_para, (_, report) = _best_time(parallel, reps, warmup)
-    peak_fine = _peak_alloc(fine) if measure_memory else 0
+    wall_fine, _ = _best_time(fine, reps)
+    wall_para, (_, report) = _best_time(parallel, reps)
+    peak_fine = _peak_alloc(fine)
     # tracemalloc sees the caller alone, so the peak is that of a solve run all in it
-    peak_para = _peak_alloc(lambda: parallel(1)) if measure_memory else 0
+    peak_para = _peak_alloc(lambda: parallel(1))
     return BenchRecord(
         dof=nt * m_eff,
         nt=nt,

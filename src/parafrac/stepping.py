@@ -28,7 +28,9 @@ and the solve broadcasts that one system over the chunk.  Two solves stay
 on purpose: scipy's LU with a small-pivot check for one system or a stack
 of one, and numpy's stacked ``linalg.solve`` for the sweep, which solves a
 chunk's systems in one call instead of one call per system but hides its
-pivots.
+pivots.  So the sweep pivot-checks a shared system with one scipy LU of
+that matrix before its stacked solve, and leaves a stack of per-state
+systems (a coefficient that depends on ``u`` or ``t``) unchecked.
 For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
 25 us, a loop of raw LAPACK ``getrf``/``getrs`` 54 us and a loop of scipy
 ``lu_factor``/``lu_solve`` 374 us.  An exact check per stacked system made
@@ -80,13 +82,11 @@ def initial_state(problem, op):
     return np.broadcast_to(u0, (op.interior_size,)).astype(float, copy=True)
 
 
-def _lu_solve_checked(system, rhs, step):
-    """Dense LU with partial pivoting; rejects singular or tiny pivots.
+def _checked_factor(system, step):
+    """LU factors of one matrix, partial pivoting; rejects singular or tiny pivots.
 
-    ``system`` is one matrix or a stack of one, ``rhs`` one state or a stack
-    of one; the solution has the shape of ``rhs``.  A failure names ``step``.
+    A failure names ``step``.
     """
-    system = system.reshape(system.shape[-2:])
     try:
         lu, piv = lu_factor(system, check_finite=False)
     except Exception as exc:
@@ -95,19 +95,33 @@ def _lu_solve_checked(system, rhs, step):
     pivot_min = float(np.abs(np.diag(lu)).min())
     if not np.isfinite(pivot_min) or pivot_min <= PIVOT_RTOL * scale:
         raise SolverFailure(step, "singular or ill-conditioned time-step system")
-    out = lu_solve((lu, piv), rhs.reshape(-1), check_finite=False)
+    return lu, piv
+
+
+def _lu_solve_checked(system, rhs, step):
+    """Dense LU solve with the pivot check of :func:`_checked_factor`.
+
+    ``system`` is one matrix or a stack of one, ``rhs`` one state or a stack
+    of one; the solution has the shape of ``rhs``.  A failure names ``step``.
+    """
+    factors = _checked_factor(system.reshape(system.shape[-2:]), step)
+    out = lu_solve(factors, rhs.reshape(-1), check_finite=False)
     if not np.isfinite(out).all():
         raise SolverFailure(step, "non-finite solution from linear solve")
     return out.reshape(rhs.shape)
 
 
 def _stacked_solve(systems, rhs, step):
-    """Stacked solve without a pivot check; a failure names ``step``.
+    """Stacked solve; a failure names ``step``.
 
-    ``systems`` is one matrix per right-hand side, or one matrix that
-    ``linalg.solve`` broadcasts over them; it still factors a copy per
-    right-hand side, so the bits are those of the stacked systems.
+    ``systems`` is one matrix per right-hand side, or one shared matrix
+    that ``linalg.solve`` broadcasts over them; it still factors a copy per
+    right-hand side, so the bits are those of the stacked systems.  A shared
+    matrix is pivot-checked first by :func:`_checked_factor`, whose factors
+    are dropped; a stack of per-state systems is not pivot-checked.
     """
+    if systems.ndim == 2:
+        _checked_factor(systems, step)
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:

@@ -268,7 +268,7 @@ def speedup_records():
     threads = min(4, os.cpu_count() or 1)
     return threads, [
         bench_point("paper42", dof, m=32, degree=16, tol=1e-10, k_max=25, threads=threads,
-                    reps=2, warmup=1, measure_memory=False)
+                    reps=2)
         for dof in (2**10, 2**12, 2**13)
     ]
 

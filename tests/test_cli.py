@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from parafrac.cli import RunConfig, emit_config, main, parse_config_text
+from parafrac.cli import RunConfig, main, parse_config_text
 from parafrac.harness import bench_point
 
 
@@ -17,18 +17,67 @@ def read_csv(path):
     return header, rows
 
 
+# one line per RunConfig field, each at its default
+DEFAULT_TEXT = """[run]
+problem = paper42
+alpha =
+t_final =
+nt = 8
+m = 4
+degree = 16
+tol = 1e-10
+kmax = 20
+threads =
+out =
+sweep =
+reference = false
+solver = fine
+reps = 3
+function = mixed
+bound_a = 1.0
+bound_b = 1.1
+bound_c = 1.001
+bound_n = 10
+"""
+
+
 class TestConfig:
     def test_round_trip_defaults(self):
-        cfg = RunConfig()
-        assert RunConfig(**parse_config_text(emit_config(cfg))) == cfg
+        keys = [line.split(" =")[0] for line in DEFAULT_TEXT.splitlines()[1:]]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+        assert RunConfig(**parse_config_text(DEFAULT_TEXT)) == RunConfig()
 
     def test_round_trip_custom(self):
+        text = ("[run]\nproblem = linear-heat\nalpha = 0.7\nnt = 16\nm = 8\nn = 12\n"
+                "tol = 1e-8\nkmax = 5\nthreads = 3\nout = x.csv\nsweep = 64,128\n"
+                "reference = true\nsolver = coarse\nreps = 2\nfunction = root\n")
         cfg = RunConfig(problem="linear-heat", alpha=0.7, nt=16, m=8, degree=12,
                         tol=1e-8, kmax=5, threads=3, out="x.csv", sweep=(64, 128),
                         reference=True, solver="coarse", reps=2, function="root")
-        assert RunConfig(**parse_config_text(emit_config(cfg))) == cfg
+        assert RunConfig(**parse_config_text(text)) == cfg
 
     def test_round_trip_every_field(self):
+        text = """[run]
+problem = linear-heat
+alpha = 0.7
+t_final = 2.5
+nt = 16
+m = 8
+degree = 12
+tol = 1e-8
+kmax = 5
+threads = 3
+out = x.csv
+sweep = 64, 128
+reference = yes
+solver = coarse
+reps = 2
+function = root
+bound_a = 0.5
+bound_b = 1.3
+bound_c = 1.02
+bound_n = 7
+"""
         cfg = RunConfig(problem="linear-heat", alpha=0.7, t_final=2.5, nt=16, m=8, degree=12,
                         tol=1e-8, kmax=5, threads=3, out="x.csv", sweep=(64, 128),
                         reference=True, solver="coarse", reps=2, function="root",
@@ -36,7 +85,14 @@ class TestConfig:
         fields = dataclasses.fields(RunConfig)
         assert len(fields) == 19
         assert all(getattr(cfg, f.name) != f.default for f in fields)
-        assert RunConfig(**parse_config_text(emit_config(cfg))) == cfg
+        assert RunConfig(**parse_config_text(text)) == cfg
+
+    def test_empty_values_and_n_alias(self):
+        # an empty optional value is None, an empty sweep the empty tuple,
+        # and the flag name n sets degree
+        text = "[run]\nt_final =\nthreads =\nout =\nsweep =\nn = 24\n"
+        assert parse_config_text(text) == {"t_final": None, "threads": None, "out": None,
+                                           "sweep": (), "degree": 24}
 
     @pytest.mark.parametrize("word, value", [
         ("1", True), ("true", True), ("YES", True), ("On", True),
@@ -53,12 +109,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="nt"):
             parse_config_text("[run]\nnt =\n")
         assert parse_config_text("[run]\nalpha =\n") == {"alpha": None}
-
-    def test_emit_is_idempotent(self):
-        cfg = RunConfig(alpha=0.3, sweep=(32,))
-        once = emit_config(cfg)
-        again = emit_config(RunConfig(**parse_config_text(once)))
-        assert once == again
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -233,8 +283,7 @@ class TestBenchCommand:
         columns = ("dof", "nt", "m", "degree", "threads", "iterations_used")
         fields = ("dof", "nt", "m", "degree", "threads", "iterations")
         for dof, row in zip((18, 40), rows):
-            rec = bench_point("paper42", dof, degree=8, m=4, threads=1, reps=1, warmup=0,
-                              measure_memory=False)
+            rec = bench_point("paper42", dof, degree=8, m=4, threads=1, reps=1)
             got = [int(row[header.index(c)]) for c in columns]
             assert got == [getattr(rec, f) for f in fields]
 

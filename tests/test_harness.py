@@ -89,8 +89,7 @@ class TestTruncationStudy:
 
 class TestBench:
     def test_record_consistency(self):
-        rec = bench_point("paper42", 64, degree=8, m=8, threads=1, reps=1, warmup=0,
-                          measure_memory=True)
+        rec = bench_point("paper42", 64, degree=8, m=8, threads=1, reps=1)
         assert rec.dof == rec.nt * rec.m == 64
         assert rec.wall_fine > 0 and rec.wall_parareal > 0
         assert rec.speedup == pytest.approx(rec.wall_fine / rec.wall_parareal)
@@ -102,8 +101,8 @@ class TestBench:
         # threads=2 missed the blocks they march (0.71x of threads=1 here).
         # The first call fills the lazy weight tables; tracemalloc peaks of
         # one solve still vary by about 1% from run to run.
-        peaks = [bench_point("paper42", 256, degree=16, m=8, threads=threads, reps=1,
-                             warmup=0, measure_memory=True).peak_alloc_parareal
+        peaks = [bench_point("paper42", 256, degree=16, m=8, threads=threads,
+                             reps=1).peak_alloc_parareal
                  for threads in (1, 2, 1)]
         assert peaks[1] == pytest.approx(peaks[2], rel=0.05)
 
@@ -112,27 +111,23 @@ class TestBench:
         # the caller's b_{q/m} grid covering its own blocks only; growing it
         # inside the traced solve read 1.19x the threads=1 peak here
         peaks = [bench_point("paper42", 2048, alpha=0.4375, degree=8, m=128, threads=threads,
-                             reps=1, warmup=0, measure_memory=True).peak_alloc_parareal
+                             reps=1).peak_alloc_parareal
                  for threads in (2, 1)]
         assert peaks[0] == pytest.approx(peaks[1], rel=0.05)
 
     def test_single_thread_record_still_written(self):
-        rec = bench_point("paper42", 32, degree=8, m=4, threads=1, reps=1, warmup=0,
-                          measure_memory=False)
+        rec = bench_point("paper42", 32, degree=8, m=4, threads=1, reps=1)
         assert rec.speedup > 0.0
 
     def test_m_clipped_to_dof(self):
-        rec = bench_point("paper42", 8, degree=8, m=32, threads=1, reps=1, warmup=0,
-                          measure_memory=False)
+        rec = bench_point("paper42", 8, degree=8, m=32, threads=1, reps=1)
         assert rec.m == 8 and rec.nt == 1
 
     def test_bad_counts_rejected(self):
-        # rejected, not clamped to 1 dof, 1 rep, m = 1 or no warm-up
+        # rejected, not clamped to 1 dof, 1 rep or m = 1
         for kwargs in ({"dof": 0}, {"dof": -5}, {"dof": 8.0}, {"reps": 0}, {"reps": -3},
-                       {"reps": True}, {"m": 0}, {"m": -3}, {"m": 2.5}, {"warmup": -2},
-                       {"warmup": 1.0}):
-            args = {"dof": 16, "degree": 8, "m": 4, "reps": 1, "warmup": 0,
-                    "measure_memory": False, **kwargs}
+                       {"reps": True}, {"m": 0}, {"m": -3}, {"m": 2.5}):
+            args = {"dof": 16, "degree": 8, "m": 4, "reps": 1, **kwargs}
             with pytest.raises(ValueError):
                 bench_point("paper42", args.pop("dof"), **args)
 

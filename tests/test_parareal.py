@@ -7,7 +7,6 @@ import pytest
 
 from parafrac import (
     DivergenceError,
-    ParafracError,
     SolverFailure,
     TimeGrids,
     chain_fine,
@@ -423,10 +422,12 @@ class TestNearSingularFineSystem:
         with pytest.raises(SolverFailure) as err:
             run_fine_sequential(prob, op8, grids)
         assert err.value.step == 0
-        # the stacked solve of the parallel stage has no pivot check; the
-        # failure surfaces later, through the divergence guard
-        with pytest.raises(ParafracError):
-            parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=1)
+        # the stacked solve pivot-checks a system shared by its stack, so the
+        # parallel stage names the same substep at every thread count
+        for threads in (1, 2, 3, 8):
+            with pytest.raises(SolverFailure) as err:
+                parareal_solve(prob, op8, grids, tol=1e-10, k_max=3, threads=threads)
+            assert err.value.step == (0, 1)
 
 
 class TestConvergenceToFixedPoint:
