@@ -3,10 +3,11 @@
 Subcommands: ``solve`` (trajectory CSV), ``parareal`` (per-iteration CSV),
 ``bench`` (runtime/speedup/allocation CSV over a dof sweep), ``bounds``
 (binomial sums and their estimates), ``truncation`` (hybrid-operator error
-study).  A ``key = value`` config file can preset everything; explicit
-flags override it, and each value is parsed to the type of the
-:class:`RunConfig` field it sets.  Each setting is checked by the code
-that uses it, so a command ignores the settings it does not use.  Each
+study).  ``_COMMANDS`` lists the settings each command reads, and a
+command takes the flags of those settings alone.  A ``key = value`` config
+file can preset any :class:`RunConfig` field, each value parsed to the
+field's type; flags override it, and a command ignores the keys it does
+not read.  Each setting is checked by the code that uses it.  Each
 command returns its CSV header and rows; :func:`main` writes them to
 ``--out`` (default ``<command>.csv``).  Diagnostics go to stderr.
 """
@@ -93,7 +94,7 @@ def _parse_value(name, text):
 
 def parse_config_text(text):
     """Parse a ``[run]`` section of ``key = value`` lines into field overrides."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -111,7 +112,7 @@ def parse_config_text(text):
 
 def _config_from_sources(args):
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides.update(parse_config_text(fh.read()))
     for name in _FIELD_TYPES:
@@ -229,29 +230,51 @@ def cmd_truncation(cfg):
     return ("nt", "dt", "region", "n", "r", "t", "abs_error"), study.rows
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "parareal": cmd_parareal,
-    "bench": cmd_bench,
-    "bounds": cmd_bounds,
-    "truncation": cmd_truncation,
+def _sweep_list(text):
+    try:
+        return _int_tuple(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+
+
+# setting -> (flag, add_argument keywords); t_final is a config key only
+_FLAGS = {
+    "out": ("--out", dict(help="output CSV path")),
+    "problem": ("--problem", dict(choices=registry_names(), help="builtin problem")),
+    "alpha": ("--alpha", dict(type=float, help="fractional order in (0, 1]")),
+    "nt": ("--nt", dict(type=int, help="coarse intervals")),
+    "m": ("--m", dict(type=int, help="fine steps per coarse interval")),
+    "degree": ("--n", dict(type=int, help="spectral degree")),
+    "tol": ("--tol", dict(type=float, help="parareal stopping tolerance")),
+    "kmax": ("--kmax", dict(type=int, help="parareal iteration cap")),
+    "threads": ("--threads", dict(type=int, help="parallel-stage processes, the caller included")),
+    "solver": ("--solver", dict(choices=sorted(_SOLVERS), help="which propagator to run")),
+    "reference": ("--reference", dict(action="store_true", default=None,
+                                      help="report errors against the sequential fine solver")),
+    "sweep": ("--sweep", dict(type=_sweep_list, help="comma list of integers: the dof values "
+                                                     "of bench, the nt levels of truncation")),
+    "reps": ("--reps", dict(type=int, help="timing repetitions (min is reported)")),
+    "function": ("--function", dict(choices=sorted(TRUNCATION_FUNCTIONS), help="test function")),
+    "bound_a": ("--a", dict(type=float, help="per-step error coefficient")),
+    "bound_b": ("--b", dict(type=float, help="cross-iterate coefficient")),
+    "bound_c": ("--c", dict(type=float, help="within-iterate coefficient")),
+    "bound_n": ("--n", dict(type=int, help="table depth (k runs 0..n)")),
 }
 
-
-def _add_common(parser, *, grid=True):
-    parser.add_argument("--config", help="key = value config file ([run] section)")
-    parser.add_argument("--out", help="output CSV path")
-    if grid:
-        parser.add_argument("--problem", choices=registry_names(), help="builtin problem")
-        parser.add_argument("--alpha", type=float, help="fractional order in (0, 1]")
-        parser.add_argument("--nt", type=int, help="coarse intervals")
-        parser.add_argument("--m", type=int, help="fine steps per coarse interval")
-        parser.add_argument("--n", type=int, dest="degree", help="spectral degree")
-        parser.add_argument("--tol", type=float, help="parareal stopping tolerance")
-        parser.add_argument("--kmax", type=int, help="parareal iteration cap")
-        parser.add_argument("--threads", type=int,
-                            help="parallel-stage processes: the caller plus threads-1 "
-                                 "forked workers")
+# command -> (function, help, the settings it takes as flags besides out)
+_COMMANDS = {
+    "solve": (cmd_solve, "run one solver and dump the coarse-node trajectory",
+              ("problem", "alpha", "nt", "m", "degree", "solver")),
+    "parareal": (cmd_parareal, "run the parareal iteration",
+                 ("problem", "alpha", "nt", "m", "degree", "tol", "kmax", "threads",
+                  "reference")),
+    "bench": (cmd_bench, "time fine vs parareal over a dof sweep",
+              ("problem", "alpha", "m", "degree", "tol", "kmax", "threads", "sweep", "reps")),
+    "bounds": (cmd_bounds, "binomial sums and their closed-form estimates",
+               ("bound_a", "bound_b", "bound_c", "bound_n")),
+    "truncation": (cmd_truncation, "hybrid-operator truncation error study",
+                   ("alpha", "m", "sweep", "function")),
+}
 
 
 def build_parser():
@@ -260,53 +283,27 @@ def build_parser():
         description="Parallel-in-time solver for quasilinear time-fractional diffusion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="run one solver and dump the coarse-node trajectory")
-    _add_common(p)
-    p.add_argument("--solver", choices=sorted(_SOLVERS), help="which propagator to run")
-
-    p = sub.add_parser("parareal", help="run the parareal iteration")
-    _add_common(p)
-    p.add_argument("--reference", action="store_true", default=None,
-                   help="also run the sequential fine solver and report errors against it")
-
-    p = sub.add_parser("bench", help="time fine vs parareal over a dof sweep")
-    _add_common(p)
-    p.add_argument("--sweep", type=_sweep_list, help="comma list of dof values")
-    p.add_argument("--reps", type=int, help="timing repetitions (min is reported)")
-
-    p = sub.add_parser("bounds", help="binomial sums and their closed-form estimates")
-    _add_common(p, grid=False)
-    p.add_argument("--a", type=float, dest="bound_a", help="per-step error coefficient")
-    p.add_argument("--b", type=float, dest="bound_b", help="cross-iterate coefficient")
-    p.add_argument("--c", type=float, dest="bound_c", help="within-iterate coefficient")
-    p.add_argument("--n", type=int, dest="bound_n", help="table depth (k runs 0..n)")
-
-    p = sub.add_parser("truncation", help="hybrid-operator truncation error study")
-    _add_common(p)
-    p.add_argument("--sweep", type=_sweep_list, help="comma list of nt refinement levels")
-    p.add_argument("--function", choices=sorted(TRUNCATION_FUNCTIONS),
-                   help="test function family")
-
+    for name, (_, help_text, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value config file ([run] section)")
+        for setting in ("out", *settings):
+            flag, kwargs = _FLAGS[setting]
+            p.add_argument(flag, dest=setting, **kwargs)
     return parser
-
-
-def _sweep_list(text):
-    try:
-        return _int_tuple(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, _, settings = _COMMANDS[args.command]
     try:
         cfg = _config_from_sources(args)
-        print(
-            f"parafrac {args.command}: problem={cfg.problem} threads={_effective_threads(cfg)}",
-            file=sys.stderr,
-        )
-        header, rows = _COMMANDS[args.command](cfg)
+        startup = f"parafrac {args.command}:"
+        if "problem" in settings:
+            startup += f" problem={cfg.problem}"
+        if "threads" in settings:
+            startup += f" threads={_effective_threads(cfg)}"
+        print(startup, file=sys.stderr)
+        header, rows = run(cfg)
         out = cfg.out or f"{args.command}.csv"
         _write_csv(out, header, rows)
         print(f"wrote {out} ({len(rows)} rows)", file=sys.stderr)

@@ -42,6 +42,11 @@ def _check_t_final(t_final):
         raise ValueError(f"final time must be positive and finite, got {t_final}")
 
 
+def _check_interval(a, b):
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"invalid interval [{a}, {b}]: the ends must be finite with a < b")
+
+
 def _is_integer(count):
     """A Python or numpy integer; ``bool`` and floats are not counts."""
     return isinstance(count, (int, np.integer)) and not isinstance(count, bool)
@@ -71,9 +76,9 @@ def _weight(x, alpha):
 
 
 def l1_weight(x, alpha):
-    """L1 weight ``b_x`` for real index ``x >= 0``; see :func:`_weight`."""
-    if x < 0:
-        raise ValueError(f"weight index must be nonnegative, got {x}")
+    """L1 weight ``b_x`` for a finite real index ``x >= 0``; see :func:`_weight`."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"weight index must be nonnegative and finite, got {x}")
     _check_alpha(alpha)
     return _weight(x, alpha)
 
@@ -238,11 +243,13 @@ def caputo_power(exponent, alpha, t):
     """Analytic Caputo derivative of ``t**exponent`` (oracle for tests).
 
     ``d^alpha t^p = Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha)`` for
-    ``p > 0``; constants are annihilated.
+    ``p > 0``; constants are annihilated.  ``t`` is a time, so ``t >= 0``.
     """
     _check_alpha(alpha)
-    if exponent < 0:
-        raise ValueError("power must be nonnegative")
+    if not exponent >= 0:
+        raise ValueError(f"power must be nonnegative, got {exponent}")
+    if not t >= 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
     if exponent == 0:
         return 0.0
     ratio = math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - alpha))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .l1 import _check_alpha, _check_t_final
+from .l1 import _check_alpha, _check_interval, _check_t_final
 
 __all__ = ["ProblemSpec", "get_problem", "registry_names"]
 
@@ -43,8 +43,7 @@ class ProblemSpec:
     d_minus: Optional[float] = None
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"invalid interval [{self.a}, {self.b}]")
+        _check_interval(self.a, self.b)
         _check_t_final(self.t_final)
         _check_alpha(self.alpha)
         for endpoint in (self.a, self.b):

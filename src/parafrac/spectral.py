@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientError
-from .l1 import _is_integer
+from .l1 import _check_interval, _is_integer
 
 __all__ = [
     "SpectralOperator",
@@ -77,12 +77,12 @@ def build_operator(degree, a, b):
     diagonal is the negative row sum, which enforces the zero-derivative-of-
     constants identity to round-off.  The reference matrix is scaled by
     ``2/(b - a)``, so physical-interval operators are exact rescalings of
-    the reference one.  ``degree`` follows the count rule ``l1._is_integer``.
+    the reference one.  ``degree`` follows the count rule ``l1._is_integer``
+    and ``[a, b]`` the interval rule ``l1._check_interval``.
     """
     if not (_is_integer(degree) and degree >= 2):
         raise ValueError(f"degree must be an integer >= 2 so interior nodes exist, got {degree!r}")
-    if not a < b:
-        raise ValueError(f"invalid interval [{a}, {b}]")
+    _check_interval(a, b)
     j = np.arange(degree + 1)
     xi = np.cos(np.pi * j / degree)
     csign = np.where((j == 0) | (j == degree), 2.0, 1.0) * (-1.0) ** j

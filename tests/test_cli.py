@@ -110,6 +110,9 @@ bound_n = 7
             parse_config_text("[run]\nnt =\n")
         assert parse_config_text("[run]\nalpha =\n") == {"alpha": None}
 
+    def test_percent_kept_literal(self):
+        assert parse_config_text("[run]\nout = r%.csv\n") == {"out": "r%.csv"}
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("[run]\nwibble = 3\n")
@@ -132,12 +135,12 @@ class TestConfigErrors:
         ("parareal", "tol = 0"), ("solve", "solver = magic"), ("truncation", "function = nope"),
     ])
     def test_bad_setting_stops_its_user(self, tmp_path, monkeypatch, capsys, command, setting):
-        # each setting is checked by the code that uses it, before any CSV
+        # each setting is checked by the code that uses it, before any CSV; the grid
+        # settings are config keys, since truncation takes no flag for them
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.cfg").write_text(f"[run]\n{setting}\n")
-        argv = [command, "--config", "run.cfg", "--problem", "zero", "--nt", "2", "--m", "1",
-                "--n", "4"]
-        assert main(argv) == 2
+        grid = "problem = zero\nnt = 2\nm = 1\nn = 4\n"
+        (tmp_path / "run.cfg").write_text(f"[run]\n{grid}{setting}\n")
+        assert main([command, "--config", "run.cfg"]) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error:") and setting.split(" =")[0] in last
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
@@ -444,18 +447,19 @@ class TestDeterministicOutput:
 
 class TestDiagnostics:
     def test_threads_printed_at_startup(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        main(["solve", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4",
+        out = tmp_path / "p.csv"
+        main(["parareal", "--problem", "zero", "--nt", "2", "--m", "1", "--n", "4",
               "--out", str(out)])
         assert "threads=" in capsys.readouterr().err
 
     def test_default_threads_follow_cpu_affinity(self, tmp_path, monkeypatch, capsys):
-        # bounds runs no solve, so the default thread count starts no process
+        # one coarse interval is one block, so the default thread count starts no worker
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        argv = ["bounds", "--n", "2", "--out", str(tmp_path / "b.csv")]
+        argv = ["parareal", "--problem", "zero", "--nt", "1", "--m", "1", "--n", "4",
+                "--out", str(tmp_path / "p.csv")]
         assert main(argv) == 0
         assert "threads=1\n" in capsys.readouterr().err
         # without an affinity call the host's CPU count stands in

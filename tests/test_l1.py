@@ -48,6 +48,11 @@ class TestWeights:
         assert wt._grids == {}
         assert np.array_equal(wt.on_grid(np.int64(2), np.int32(5)), wt.on_grid(2, 5))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_index_rejected(self, x):
+        with pytest.raises(ValueError, match="weight index"):
+            l1_weight(x, 0.5)
+
     def test_alpha_one_collapse(self):
         w = weights_for(1.0).on_grid(1, 50)
         assert w[0] == 1.0
@@ -246,6 +251,13 @@ class TestAnalyticOracle:
         # d^0.5 t^0.5 is the constant Gamma(1.5)
         for t in (0.25, 1.0, 3.0):
             assert caputo_power(0.5, 0.5, t) == pytest.approx(math.gamma(1.5), rel=1e-13)
+
+    @pytest.mark.parametrize("exponent, t, match", [
+        (1.0, -1.0, "time"), (1.0, math.nan, "time"), (math.nan, 1.0, "power"),
+    ])
+    def test_bad_time_or_power_rejected(self, exponent, t, match):
+        with pytest.raises(ValueError, match=match):
+            caputo_power(exponent, 0.5, t)
 
     def test_gamma_route(self):
         assert gamma_2_minus(1.0) == 1.0

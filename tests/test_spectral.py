@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from parafrac import assemble_diffusion, build_operator, l2_norm
+from parafrac import ProblemSpec, assemble_diffusion, build_operator, l2_norm
 from parafrac.errors import CoefficientError
 from parafrac.spectral import clenshaw_curtis_weights
 
-from conftest import make_problem
+from conftest import make_problem, zero_coefficient
 
 
 def closed_form_d1(degree, a, b):
@@ -80,6 +80,15 @@ class TestBuildOperator:
             build_operator(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             build_operator(8, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                      (0.0, np.nan)])
+    def test_interval_ends_finite(self, a, b):
+        # both owners of an interval apply the one rule
+        with pytest.raises(ValueError, match="invalid interval"):
+            build_operator(8, a, b)
+        with pytest.raises(ValueError, match="invalid interval"):
+            ProblemSpec(a, b, 1.0, 0.5, zero_coefficient, zero_coefficient, lambda x: 0.0 * x)
 
     @pytest.mark.parametrize("degree", [8.0, 8.5, True])
     def test_degree_follows_count_rule(self, degree):
