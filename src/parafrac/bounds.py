@@ -51,6 +51,7 @@ class BoundParams:
     ``e0`` is the error level of the initial sweep (``E[0, n] = e0`` for
     ``n >= 1``).  The analysis assumes strictly positive ``a, b, c``;
     zero values are accepted here so degenerate cases stay checkable.
+    ``a, b, c`` and ``e0`` must be finite; NaN fails too.
     """
 
     a: float
@@ -62,8 +63,8 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "e0"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         _check_indices(self.n, self.k)
 
 
@@ -75,8 +76,8 @@ class LipschitzConstants:
     c_fine: float
 
     def __post_init__(self):
-        if not (self.c_coarse >= 1.0 and self.c_fine >= 1.0):
-            raise ValueError("growth constants must be at least 1")
+        if not (1.0 <= self.c_coarse < math.inf and 1.0 <= self.c_fine < math.inf):
+            raise ValueError("growth constants must be finite and at least 1")
 
     @property
     def a(self):
@@ -234,8 +235,8 @@ def iteration_error_bound(consts, n, k, fine_err, coarse_err):
     empty and the bound reduces to ``c^(n-1) * coarse_err``.
     """
     _check_indices(n, k)
-    if not (fine_err >= 0 and coarse_err >= 0):
-        raise ValueError("propagator errors must be nonnegative")
+    if not (0 <= fine_err < math.inf and 0 <= coarse_err < math.inf):
+        raise ValueError("propagator errors must be finite and nonnegative")
     a, b, c = consts.a, consts.b, consts.c
     mm = min(k, n)
     first = a * double_sum_bound(BoundParams(a, b, c, mm, mm)) if mm else 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bounds import BoundParams, double_sum_bound, double_sum_exact, single_sum_bound, single_sum_exact
 from .errors import ParafracError
-from .harness import TRUNCATION_FUNCTIONS, bench_point, truncation_study
+from .harness import TRUNCATION_FUNCTIONS, BenchRecord, bench_point, truncation_study
 from .l1 import TimeGrids
 from .parareal import parareal_solve
 from .problems import get_problem, registry_names
@@ -55,7 +55,6 @@ class RunConfig:
     solver: str = "fine"
     reps: int = 3
     function: str = "mixed"
-    bound_a: float = 1.0
     bound_b: float = 1.1
     bound_c: float = 1.001
     bound_n: int = 10
@@ -197,19 +196,15 @@ def cmd_bench(cfg):
                     m=cfg.m, tol=cfg.tol, k_max=cfg.kmax, threads=threads, reps=cfg.reps)
         for dof in cfg.sweep
     ]
-    header = (
-        "dof", "nt", "m", "degree", "threads",
-        "wall_time_fine", "wall_time_parareal", "speedup", "iterations_used",
-        "final_diff", "peak_alloc_bytes_fine_approx", "peak_alloc_bytes_parareal_approx",
-    )
+    header = [f.name for f in dataclasses.fields(BenchRecord)]
     return header, [dataclasses.astuple(r) for r in records]
 
 
 def cmd_bounds(cfg):
     # k = 0 is always in range; BoundParams' messages start with the field,
-    # which is the setting less "bound_"
+    # which is the setting less "bound_"; no column reads a, so it is 1.0
     try:
-        params = BoundParams(cfg.bound_a, cfg.bound_b, cfg.bound_c, cfg.bound_n, 0)
+        params = BoundParams(1.0, cfg.bound_b, cfg.bound_c, cfg.bound_n, 0)
     except ValueError as exc:
         raise ValueError(f"bound_{exc}") from None
     sums = (double_sum_exact, double_sum_bound, single_sum_exact, single_sum_bound)
@@ -255,7 +250,6 @@ _FLAGS = {
                                                      "of bench, the nt levels of truncation")),
     "reps": ("--reps", dict(type=int, help="timing repetitions (min is reported)")),
     "function": ("--function", dict(choices=sorted(TRUNCATION_FUNCTIONS), help="test function")),
-    "bound_a": ("--a", dict(type=float, help="per-step error coefficient")),
     "bound_b": ("--b", dict(type=float, help="cross-iterate coefficient")),
     "bound_c": ("--c", dict(type=float, help="within-iterate coefficient")),
     "bound_n": ("--n", dict(type=int, help="table depth (k runs 0..n)")),
@@ -271,7 +265,7 @@ _COMMANDS = {
     "bench": (cmd_bench, "time fine vs parareal over a dof sweep",
               ("problem", "alpha", "m", "degree", "tol", "kmax", "threads", "sweep", "reps")),
     "bounds": (cmd_bounds, "binomial sums and their closed-form estimates",
-               ("bound_a", "bound_b", "bound_c", "bound_n")),
+               ("bound_b", "bound_c", "bound_n")),
     "truncation": (cmd_truncation, "hybrid-operator truncation error study",
                    ("alpha", "m", "sweep", "function")),
 }

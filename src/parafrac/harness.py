@@ -47,15 +47,14 @@ def fit_loglog(x, y):
 class BenchRecord:
     """One benchmark point; allocation figures are tracemalloc peaks (approximate).
 
-    ``peak_alloc_parareal`` is always taken from a ``threads=1`` solve:
+    ``peak_alloc_bytes_parareal_approx`` is always taken from a ``threads=1`` solve:
     tracemalloc cannot see the worker processes of ``threads > 1``.  Both
     peaks are taken after the timed runs, which have already built the
     weight grids a solve reads, so they leave out the grid growth of a cold
     first solve that perfbench's ``*_peak_mib`` includes.  Neither peak
     repeats exactly: the same solve traced twice, in one process or in two,
     differs by about 1%, so compare them only to that precision.  The
-    field order is the column order of the ``parafrac bench`` CSV, which
-    writes each record as ``dataclasses.astuple(record)``.
+    fields are the columns of the ``parafrac bench`` CSV.
     """
 
     dof: int
@@ -63,13 +62,13 @@ class BenchRecord:
     m: int
     degree: int
     threads: int
-    wall_fine: float
-    wall_parareal: float
+    wall_time_fine: float
+    wall_time_parareal: float
     speedup: float
-    iterations: int
+    iterations_used: int
     final_diff: float
-    peak_alloc_fine: int
-    peak_alloc_parareal: int
+    peak_alloc_bytes_fine_approx: int
+    peak_alloc_bytes_parareal_approx: int
 
 
 def _best_time(fn, reps):
@@ -131,47 +130,27 @@ def bench_point(problem_name, dof, *, alpha=None, t_final=None, degree=16, m=32,
         m=m_eff,
         degree=degree,
         threads=threads,
-        wall_fine=wall_fine,
-        wall_parareal=wall_para,
+        wall_time_fine=wall_fine,
+        wall_time_parareal=wall_para,
         speedup=wall_fine / wall_para,
-        iterations=report.iterations,
+        iterations_used=report.iterations,
         final_diff=report.diffs[-1],
-        peak_alloc_fine=peak_fine,
-        peak_alloc_parareal=peak_para,
+        peak_alloc_bytes_fine_approx=peak_fine,
+        peak_alloc_bytes_parareal_approx=peak_para,
     )
 
 
 # -- truncation study --------------------------------------------------------
 
 
-def _const_pair(alpha):
-    return (lambda t: 1.0), (lambda t: 0.0)
-
-
-def _linear_pair(alpha):
-    return (lambda t: t), (lambda t: caputo_power(1.0, alpha, t))
-
-
-def _root_pair(alpha):
-    return (lambda t: t**0.5), (lambda t: caputo_power(0.5, alpha, t))
-
-
-def _mixed_pair(alpha):
-    # the generic low-regularity profile: smooth part plus t^alpha layer
-    def y(t):
-        return t**alpha + t
-
-    def dy(t):
-        return caputo_power(alpha, alpha, t) + caputo_power(1.0, alpha, t)
-
-    return y, dy
-
-
+# name -> alpha -> the powers p of t whose sum is the test function; each
+# has the analytic Caputo derivative caputo_power(p, alpha, t)
 TRUNCATION_FUNCTIONS = {
-    "const": _const_pair,
-    "linear": _linear_pair,
-    "root": _root_pair,
-    "mixed": _mixed_pair,
+    "const": lambda alpha: (0.0,),
+    "linear": lambda alpha: (1.0,),
+    "root": lambda alpha: (0.5,),
+    # the generic low-regularity profile: smooth part plus t^alpha layer
+    "mixed": lambda alpha: (alpha, 1.0),
 }
 
 
@@ -201,11 +180,18 @@ def truncation_study(alpha, m, nt_list, function="mixed", t_final=1.0):
     A sweep with fewer than two distinct levels raises ``ValueError``.
     """
     try:
-        y, dy = TRUNCATION_FUNCTIONS[function](alpha)
+        powers = TRUNCATION_FUNCTIONS[function](alpha)
     except KeyError:
         raise ValueError(
             f"unknown test function {function!r}; choices: {', '.join(sorted(TRUNCATION_FUNCTIONS))}"
         ) from None
+
+    def y(t):
+        return sum(t**p for p in powers)
+
+    def dy(t):
+        return sum(caputo_power(p, alpha, t) for p in powers)
+
     if len(set(nt_list)) < 2:
         raise ValueError("truncation sweep needs at least two distinct nt levels to fit an order")
 

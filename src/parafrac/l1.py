@@ -190,8 +190,8 @@ def discrete_caputo_coarse(history, dT, alpha):
     h = np.asarray(history, dtype=float)
     if h.ndim != 1 or h.shape[0] < 2:
         raise ValueError("history must hold at least two samples")
-    if not dT > 0:
-        raise ValueError("step must be positive")
+    if not 0 < dT < math.inf:
+        raise ValueError("step must be positive and finite")
     _check_alpha(alpha)
     n = h.shape[0] - 2
     b = weights_for(alpha).on_grid(1, n + 2)
@@ -243,13 +243,14 @@ def caputo_power(exponent, alpha, t):
     """Analytic Caputo derivative of ``t**exponent`` (oracle for tests).
 
     ``d^alpha t^p = Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha)`` for
-    ``p > 0``; constants are annihilated.  ``t`` is a time, so ``t >= 0``.
+    ``p > 0``; constants are annihilated.  ``t`` is a time, so ``t >= 0``;
+    both are finite.
     """
     _check_alpha(alpha)
-    if not exponent >= 0:
-        raise ValueError(f"power must be nonnegative, got {exponent}")
-    if not t >= 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= exponent < math.inf:
+        raise ValueError(f"power must be finite and nonnegative, got {exponent}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if exponent == 0:
         return 0.0
     ratio = math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - alpha))

@@ -14,8 +14,8 @@
   stored substep-major (one row per substep); the coarse coupling of each
   substep waits in the path row it precedes until the substep's state
   overwrites it, so a march holds one path array, and a chunk's endpoints
-  are copied out before the next chunk's march, so a process holds one
-  chunk's path array and temporaries, whatever its block size.  An
+  go into the sweep's result before the next chunk's march, so a process
+  holds one chunk's path array and temporaries, whatever its block size.  An
   interval's history sum, assembly, system and solve do not depend on the
   other intervals, so the chunks leave the bits as they are.
 
@@ -44,7 +44,6 @@ of shape ``(nodes, interior)``.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -67,13 +66,6 @@ PIVOT_RTOL = 1e-14
 START_MISMATCH_TOL = 1e-10
 # intervals per march in a sweep; bounds a process's path array and temporaries
 STACK_CHUNK = 64
-
-
-@lru_cache(maxsize=32)
-def _eye(size):
-    out = np.eye(size)
-    out.setflags(write=False)
-    return out
 
 
 def initial_state(problem, op):
@@ -139,8 +131,9 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     On a stack (one chunk of a sweep), ``A`` and the system are one matrix
     when the coefficient has no stack axis (see :func:`assemble_diffusion`),
     else one per state.
-    The system is built in the storage of the fresh ``A``, and ``history``,
-    a fresh array, becomes the right-hand side in place.
+    The system is built in the storage of the fresh ``A`` (scaled by
+    ``-gam``, then 1.0 added on its diagonal), and ``history``, a fresh
+    array, becomes the right-hand side in place.
     ``coupling`` may be ``None``; it is added last, which fixes the rounding,
     and read before the caller stores the result, so it may be the path row
     the result goes to.
@@ -151,9 +144,9 @@ def _step(op, problem, u_prev, t_prev, gam, history, coupling, solve, step):
     rhs += gam * f
     if coupling is not None:
         rhs += coupling
-    # the same bits as eye - gam * a_mat, built in A's storage
+    # the values of eye - gam * a_mat, built in A's storage
     a_mat *= -gam
-    a_mat += _eye(op.interior_size)
+    np.einsum("...ii->...i", a_mat)[...] += 1.0
     return solve(a_mat, rhs, step)
 
 
@@ -297,8 +290,8 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
 
     The same interval march as :func:`fine_propagate`, one :func:`_march`
     per chunk of at most ``STACK_CHUNK`` intervals, with one stacked solve
-    per substep; a chunk's endpoints are copied out before the next chunk's
-    path array exists.  Results do not depend on how intervals are grouped,
+    per substep; a chunk's endpoints are written into the one result array
+    before the next chunk's path array exists.  Results do not depend on how intervals are grouped,
     which keeps the parallel driver deterministic for any thread count.
     When a chunk fails, the chunks before it have finished, so its
     intervals are marched again one at a time, in order: a failure names
@@ -311,18 +304,18 @@ def fine_sweep_intervals(u_nodes, n_lo, n_hi, op, grids, problem):
     if not 0 <= n_lo < n_hi < U.shape[0]:
         raise ValueError(f"intervals {n_lo}..{n_hi - 1} outside the supplied coarse states")
     hist = _history_stack(U[:n_hi], op, grids, f"u_nodes[:{n_hi}]")
-    ends = []
+    ends = np.empty((n_hi - n_lo, op.interior_size))
     for lo in range(n_lo, n_hi, STACK_CHUNK):
         chunk = range(lo, min(lo + STACK_CHUNK, n_hi))
         try:
-            ends.append(_march(hist[chunk.start : chunk.stop], hist, chunk, op, grids, problem,
-                               _stacked_solve)[-1].copy())
+            ends[lo - n_lo : chunk.stop - n_lo] = _march(
+                hist[chunk.start : chunk.stop], hist, chunk, op, grids, problem, _stacked_solve)[-1]
         except ParafracError:
             if len(chunk) > 1:
                 for n in chunk:
                     fine_sweep_intervals(U, n, n + 1, op, grids, problem)
             raise
-    return ends[0] if len(ends) == 1 else np.concatenate(ends)
+    return ends
 
 
 def chain_fine(problem, op, grids):

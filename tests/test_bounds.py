@@ -289,3 +289,22 @@ NAN = float("nan")
 def test_nan_input_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BoundParams(INF, 1.0, 1.0, 3, 1),
+    lambda: BoundParams(1.0, INF, 1.0, 3, 1),
+    lambda: BoundParams(1.0, 1.0, INF, 3, 1),
+    lambda: BoundParams(1.0, 1.0, 1.0, 3, 1, e0=INF),
+    lambda: LipschitzConstants(INF, 1.5),
+    lambda: LipschitzConstants(1.5, INF),
+    # the terms the docstring calls exactly zero would be 0.0 * inf = nan
+    lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 0, INF, 0.1),
+    lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 4, 0.1, INF),
+], ids=["a", "b", "c", "e0", "c_coarse", "c_fine", "fine_err-k0", "coarse_err-k-at-n"])
+def test_infinite_input_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()

@@ -34,7 +34,6 @@ reference = false
 solver = fine
 reps = 3
 function = mixed
-bound_a = 1.0
 bound_b = 1.1
 bound_c = 1.001
 bound_n = 10
@@ -73,7 +72,6 @@ reference = yes
 solver = coarse
 reps = 2
 function = root
-bound_a = 0.5
 bound_b = 1.3
 bound_c = 1.02
 bound_n = 7
@@ -81,9 +79,9 @@ bound_n = 7
         cfg = RunConfig(problem="linear-heat", alpha=0.7, t_final=2.5, nt=16, m=8, degree=12,
                         tol=1e-8, kmax=5, threads=3, out="x.csv", sweep=(64, 128),
                         reference=True, solver="coarse", reps=2, function="root",
-                        bound_a=0.5, bound_b=1.3, bound_c=1.02, bound_n=7)
+                        bound_b=1.3, bound_c=1.02, bound_n=7)
         fields = dataclasses.fields(RunConfig)
-        assert len(fields) == 19
+        assert len(fields) == 18
         assert all(getattr(cfg, f.name) != f.default for f in fields)
         assert RunConfig(**parse_config_text(text)) == cfg
 
@@ -114,8 +112,10 @@ bound_n = 7
         assert parse_config_text("[run]\nout = r%.csv\n") == {"out": "r%.csv"}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("[run]\nwibble = 3\n")
+        # bound_a is no setting: no bounds column reads a
+        for line in ("wibble = 3", "bound_a = 1.0"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_text(f"[run]\n{line}\n")
 
     def test_missing_section_rejected(self):
         with pytest.raises(ValueError):
@@ -284,17 +284,16 @@ class TestBenchCommand:
                      "--out", str(out)]) == 0
         header, rows = read_csv(out)
         columns = ("dof", "nt", "m", "degree", "threads", "iterations_used")
-        fields = ("dof", "nt", "m", "degree", "threads", "iterations")
         for dof, row in zip((18, 40), rows):
             rec = bench_point("paper42", dof, degree=8, m=4, threads=1, reps=1)
             got = [int(row[header.index(c)]) for c in columns]
-            assert got == [getattr(rec, f) for f in fields]
+            assert got == [getattr(rec, c) for c in columns]
 
 
 class TestBoundsCommand:
     def test_table_consistency(self, tmp_path):
         out = tmp_path / "bounds.csv"
-        code = main(["bounds", "--a", "1.0", "--b", "1.1", "--c", "1.001",
+        code = main(["bounds", "--b", "1.1", "--c", "1.001",
                      "--n", "10", "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out)
@@ -321,6 +320,7 @@ class TestBadSweepOrDepth:
         ["bounds", "--n", "-1"],
         ["truncation", "--m", "2", "--sweep", "3"],
         ["bounds", "--b", "nan"],
+        ["bounds", "--b", "inf"],
         # grid counts and degrees, checked by the owners that use them
         ["solve", "--nt", "0"],
         ["truncation", "--m", "0"],

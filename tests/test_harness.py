@@ -91,10 +91,10 @@ class TestBench:
     def test_record_consistency(self):
         rec = bench_point("paper42", 64, degree=8, m=8, threads=1, reps=1)
         assert rec.dof == rec.nt * rec.m == 64
-        assert rec.wall_fine > 0 and rec.wall_parareal > 0
-        assert rec.speedup == pytest.approx(rec.wall_fine / rec.wall_parareal)
-        assert rec.iterations >= 1
-        assert rec.peak_alloc_fine > 0 and rec.peak_alloc_parareal > 0
+        assert rec.wall_time_fine > 0 and rec.wall_time_parareal > 0
+        assert rec.speedup == pytest.approx(rec.wall_time_fine / rec.wall_time_parareal)
+        assert rec.iterations_used >= 1
+        assert rec.peak_alloc_bytes_fine_approx > 0 and rec.peak_alloc_bytes_parareal_approx > 0
 
     def test_parareal_peak_independent_of_threads(self):
         # tracemalloc cannot see worker processes, so a peak traced at
@@ -102,7 +102,7 @@ class TestBench:
         # The first call fills the lazy weight tables; tracemalloc peaks of
         # one solve still vary by about 1% from run to run.
         peaks = [bench_point("paper42", 256, degree=16, m=8, threads=threads,
-                             reps=1).peak_alloc_parareal
+                             reps=1).peak_alloc_bytes_parareal_approx
                  for threads in (1, 2, 1)]
         assert peaks[1] == pytest.approx(peaks[2], rel=0.05)
 
@@ -111,7 +111,7 @@ class TestBench:
         # the caller's b_{q/m} grid covering its own blocks only; growing it
         # inside the traced solve read 1.19x the threads=1 peak here
         peaks = [bench_point("paper42", 2048, alpha=0.4375, degree=8, m=128, threads=threads,
-                             reps=1).peak_alloc_parareal
+                             reps=1).peak_alloc_bytes_parareal_approx
                  for threads in (2, 1)]
         assert peaks[0] == pytest.approx(peaks[1], rel=0.05)
 

@@ -150,6 +150,11 @@ class TestCoarseOperator:
         with pytest.raises(ValueError):
             discrete_caputo_coarse([1.0], 0.1, 0.5)
 
+    @pytest.mark.parametrize("dT", [0.0, -0.1, math.inf, math.nan])
+    def test_step_positive_and_finite(self, dT):
+        with pytest.raises(ValueError, match="step"):
+            discrete_caputo_coarse([0.0, 1.0, 2.0], dT, 0.5)
+
 
 def _hybrid_inputs(y, grids, n, r):
     coarse = [y(i * grids.dT) for i in range(n + 1)]
@@ -254,6 +259,7 @@ class TestAnalyticOracle:
 
     @pytest.mark.parametrize("exponent, t, match", [
         (1.0, -1.0, "time"), (1.0, math.nan, "time"), (math.nan, 1.0, "power"),
+        (1.0, math.inf, "time"), (math.inf, 1.0, "power"),
     ])
     def test_bad_time_or_power_rejected(self, exponent, t, match):
         with pytest.raises(ValueError, match=match):

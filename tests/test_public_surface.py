@@ -57,7 +57,7 @@ FLAGS = {
     "solve": "--problem --alpha --nt --m --n --solver",
     "parareal": "--problem --alpha --nt --m --n --tol --kmax --threads --reference",
     "bench": "--problem --alpha --m --n --tol --kmax --threads --sweep --reps",
-    "bounds": "--a --b --c --n",
+    "bounds": "--b --c --n",
     "truncation": "--alpha --m --sweep --function",
 }
 

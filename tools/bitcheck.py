@@ -8,10 +8,12 @@ Usage, from anywhere::
 Each argument is a checkout of the repository (or its ``src`` directory).
 Every tree runs in its own subprocess, which imports ``parafrac`` from that
 tree, runs the solvers on a fixed list of configurations and saves every
-result array with ``np.savez``.  The two archives are then compared with
-``np.array_equal``, a NaN in a float array matching a NaN: the script
-prints the number of arrays, and on the first mismatch its name and
-largest absolute difference, and exits 1.
+result array with ``np.savez``.  The two archives are then compared by
+:func:`compare`: every array present in both is checked with
+``np.array_equal``, a NaN in a float array matching a NaN, and each
+mismatch is printed with its largest absolute difference, as is each name
+present on one side only.  The script ends with a count and exits 1 if
+anything differs.
 
 Covered, on the configurations in ``CONFIGS`` and on two custom problems
 whose diffusion coefficient varies in ``x`` alone or in ``t`` alone (so a
@@ -61,10 +63,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import numpy as np  # noqa: E402
+BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 THREADS = (1, 2, 3, 8)
 
@@ -299,9 +300,46 @@ def _run(tree, out):
         sys.exit(f"no parafrac package under {tree}")
     print(f"running {src}", file=sys.stderr, flush=True)
     code = f"import sys; sys.path.insert(0, {str(src)!r}); import bitcheck; bitcheck._dump({out!r})"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent), **BLAS_THREADS)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     return np.load(out)
+
+
+def _difference(a, b):
+    if "U" in (a.dtype.kind, b.dtype.kind):
+        return f"{a} vs {b}"
+    if a.shape != b.shape:
+        return f"shapes {a.shape} vs {b.shape}"
+    return f"largest absolute difference {np.abs(a - b).max()}"
+
+
+def compare(old, new):
+    """Print every difference between two archives of named arrays; return their count.
+
+    ``old`` and ``new`` map names to arrays (an ``np.load`` archive or a
+    dict).  Each name present on one side only is one difference, and so is
+    each common array that ``np.array_equal`` tells apart; a NaN in a float
+    array matches a NaN (an order fitted to zero errors is NaN).
+    """
+    one_side = sorted(set(old) ^ set(new))
+    for name in one_side:
+        print(f"ONLY IN {'PARENT' if name in old else 'CHANGE'} {name}")
+    common = [name for name in old if name in new]
+    mismatches = 0
+    for name in common:
+        a, b = old[name], new[name]
+        floats = a.dtype.kind == b.dtype.kind == "f"
+        if not np.array_equal(a, b, equal_nan=floats):
+            mismatches += 1
+            print(f"MISMATCH {name}: {_difference(a, b)}")
+    if one_side or mismatches:
+        print(f"{mismatches} of {len(common)} common arrays differ; "
+              f"{len(one_side)} names on one side only")
+    else:
+        # a failure outcome is one string; the truncation regions are a string column
+        outcomes = sum(old[name].dtype.kind == "U" and old[name].ndim == 0 for name in common)
+        print(f"{len(common)} arrays np.array_equal ({outcomes} of them failure outcomes)")
+    return mismatches + len(one_side)
 
 
 def main(argv):
@@ -310,24 +348,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         old = _run(argv[0], os.path.join(tmp, "parent.npz"))
         new = _run(argv[1], os.path.join(tmp, "change.npz"))
-        if set(old.files) != set(new.files):
-            print(f"array names differ: {sorted(set(old.files) ^ set(new.files))}")
-            return 1
-        for name in old.files:
-            a, b = old[name], new[name]
-            # NaN matches NaN in float arrays (an order fitted to zero errors is NaN)
-            floats = a.dtype.kind == b.dtype.kind == "f"
-            if not np.array_equal(a, b, equal_nan=floats):
-                if a.dtype.kind == "U" or b.dtype.kind == "U":
-                    print(f"MISMATCH {name}: {a} vs {b}")
-                    return 1
-                gap = np.abs(a - b).max() if a.shape == b.shape else f"shapes {a.shape} vs {b.shape}"
-                print(f"MISMATCH {name}: largest absolute difference {gap}")
-                return 1
-        # a failure outcome is one string; the truncation regions are a string column
-        outcomes = sum(old[name].dtype.kind == "U" and old[name].ndim == 0 for name in old.files)
-        print(f"{len(old.files)} arrays np.array_equal ({outcomes} of them failure outcomes)")
-    return 0
+        return 1 if compare(old, new) else 0
 
 
 if __name__ == "__main__":
