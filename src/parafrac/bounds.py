@@ -95,13 +95,13 @@ class LipschitzConstants:
 def _frozen_step(width, alpha, c_diff, l_f):
     """``(s, 1 - l_f s)`` for the L1 step factor ``s`` of ``width``: the growth constants' rule.
 
-    A positive step, nonnegative constants, an order in (0, 1]
+    A positive finite step, finite nonnegative constants, an order in (0, 1]
     (``l1._check_alpha``) and ``l_f s < 1``; NaN fails every test.
     """
-    if not width > 0:
-        raise ValueError("step must be positive")
-    if not (c_diff >= 0 and l_f >= 0):
-        raise ValueError("constants must be nonnegative")
+    if not 0 < width < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not (0 <= c_diff < math.inf and 0 <= l_f < math.inf):
+        raise ValueError("constants must be nonnegative and finite")
     _check_alpha(alpha)
     s = _step_factor(width, alpha)
     den = 1.0 - l_f * s

@@ -10,27 +10,30 @@
   with fractional-index weights (the parallelizable propagator).  It is a
   one-interval :func:`fine_sweep_intervals`, which runs :func:`_march` on
   a stack of interval starts, one chunk of at most ``STACK_CHUNK``
-  intervals at a time; the two differ only in their solve.  Paths are
-  stored substep-major (one row per substep); the coarse coupling of each
-  substep waits in the path row it precedes until the substep's state
-  overwrites it, so a march holds one path array, and a chunk's endpoints
-  go into the sweep's result before the next chunk's march, so a process
-  holds one chunk's path array and temporaries, whatever its block size.  An
-  interval's history sum, assembly, system and solve do not depend on the
-  other intervals, so the chunks leave the bits as they are.
+  intervals at a time; the two differ only in how they solve per-state
+  systems.  Paths are stored substep-major (one row per substep); the
+  coarse coupling of each substep waits in the path row it precedes until
+  the substep's state overwrites it, so a march holds one path array, and a
+  chunk's endpoints go into the sweep's result before the next chunk's
+  march, so a process holds one chunk's path array and temporaries,
+  whatever its block size.  An interval's history sum, assembly, system
+  and solve do not depend on the other intervals, so the chunks leave the
+  bits as they are.
 
 Every step is :func:`_step`, on one state or a stack: ``A`` and ``f`` are
 frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
 one dense solve; each march only builds its history sum.  On a stack whose
 diffusion coefficient has no stack axis (it depends on neither ``u`` nor
 ``t``), ``A`` and ``I - gamma A`` are built once per substep and chunk,
-and the solve broadcasts that one system over the chunk.  Two solves stay
-on purpose: scipy's LU with a small-pivot check for one system or a stack
-of one, and numpy's stacked ``linalg.solve`` for the sweep, which solves a
+factored once by scipy's LU with a small-pivot check, and each state is
+solved against those factors, one right-hand side per ``lu_solve``, as a
+single system is.  A stack of per-state systems (a coefficient that depends
+on ``u`` or ``t``) goes to numpy's stacked ``linalg.solve``, which solves a
 chunk's systems in one call instead of one call per system but hides its
-pivots.  So the sweep pivot-checks a shared system with one scipy LU of
-that matrix before its stacked solve, and leaves a stack of per-state
-systems (a coefficient that depends on ``u`` or ``t``) unchecked.
+pivots, so it is not pivot-checked.  Either way a state's solution is a
+one-column LAPACK ``getrs`` against the ``getrf`` factors of its system, so
+its bits do not depend on the other states in its chunk; a many-column
+``getrs`` rounds differently.
 For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
 25 us, a loop of raw LAPACK ``getrf``/``getrs`` 54 us and a loop of scipy
 ``lu_factor``/``lu_solve`` 374 us.  An exact check per stacked system made
@@ -94,26 +97,33 @@ def _lu_solve_checked(system, rhs, step):
     """Dense LU solve with the pivot check of :func:`_checked_factor`.
 
     ``system`` is one matrix or a stack of one, ``rhs`` one state or a stack
-    of one; the solution has the shape of ``rhs``.  A failure names ``step``.
+    of states; the solution has the shape of ``rhs``.  The matrix is factored
+    once, and each state of a stack is its own one-column ``lu_solve``: LAPACK
+    ``getrs`` rounds a many-column solve differently, which would tie the
+    bits to the grouping.  A failure names ``step``.
     """
     factors = _checked_factor(system.reshape(system.shape[-2:]), step)
-    out = lu_solve(factors, rhs.reshape(-1), check_finite=False)
+    if rhs.ndim == 1:
+        out = lu_solve(factors, rhs, check_finite=False)
+    else:
+        out = np.empty_like(rhs)
+        for x, b in zip(out, rhs):
+            x[...] = lu_solve(factors, b, check_finite=False)
     if not np.isfinite(out).all():
         raise SolverFailure(step, "non-finite solution from linear solve")
-    return out.reshape(rhs.shape)
+    return out
 
 
 def _stacked_solve(systems, rhs, step):
     """Stacked solve; a failure names ``step``.
 
-    ``systems`` is one matrix per right-hand side, or one shared matrix
-    that ``linalg.solve`` broadcasts over them; it still factors a copy per
-    right-hand side, so the bits are those of the stacked systems.  A shared
-    matrix is pivot-checked first by :func:`_checked_factor`, whose factors
-    are dropped; a stack of per-state systems is not pivot-checked.
+    ``systems`` is one matrix shared by the right-hand sides, solved by
+    :func:`_lu_solve_checked` from one checked factorisation, or one matrix
+    per right-hand side, solved by ``linalg.solve`` without a pivot check.
+    Both give each state the bits of its own LU solve.
     """
     if systems.ndim == 2:
-        _checked_factor(systems, step)
+        return _lu_solve_checked(systems, rhs, step)
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:

@@ -304,7 +304,15 @@ INF = float("inf")
     # the terms the docstring calls exactly zero would be 0.0 * inf = nan
     lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 0, INF, 0.1),
     lambda: iteration_error_bound(LipschitzConstants(1.2, 1.5), 4, 4, 0.1, INF),
-], ids=["a", "b", "c", "e0", "c_coarse", "c_fine", "fine_err-k0", "coarse_err-k-at-n"])
+    # not inf, and not the step-size message that 0 * inf = nan gave
+    lambda: lipschitz_coarse(0.1, 0.5, c_diff=INF),
+    lambda: lipschitz_coarse(0.1, 0.5, l_f=INF),
+    lambda: lipschitz_coarse(INF, 0.5),
+    lambda: lipschitz_fine(0.1, 0.05, 2, 0.5, c_diff=INF),
+    lambda: lipschitz_fine(0.1, 0.05, 2, 0.5, l_f=INF),
+    lambda: lipschitz_fine(INF, INF, 2, 0.5),
+], ids=["a", "b", "c", "e0", "c_coarse", "c_fine", "fine_err-k0", "coarse_err-k-at-n",
+        "coarse-c_diff", "coarse-l_f", "coarse-step", "fine-c_diff", "fine-l_f", "fine-step"])
 def test_infinite_input_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()

@@ -352,11 +352,14 @@ class TestFineSweep:
     @pytest.mark.parametrize("n", [0, 1, 7])
     @pytest.mark.parametrize("name", ["paper42", "linear-heat"])
     def test_propagate_differs_from_sweep_only_in_its_solve(self, op8, name, n, monkeypatch):
-        # paper42's coefficient has a stack axis and linear-heat's has none
+        # paper42's coefficient has a stack axis, so its sweep solves per-state
+        # systems with linalg.solve; linear-heat's has none, and its sweep
+        # solves the shared system as fine_propagate does, with no patch
         problem = get_problem(name)
         grids = TimeGrids(1.0, 8, 4)
         traj = run_coarse(problem, op8, grids)
-        monkeypatch.setattr(stepping, "_lu_solve_checked", stepping._stacked_solve)
+        if name == "paper42":
+            monkeypatch.setattr(stepping, "_lu_solve_checked", stepping._stacked_solve)
         got = fine_propagate(traj[n], traj[: n + 1], op8, grids, problem)[0]
         assert np.array_equal(got, fine_sweep_intervals(traj, n, n + 1, op8, grids, problem)[0])
 
@@ -379,6 +382,27 @@ class TestFineSweep:
                 for n in range(8):
                     single = fine_sweep_intervals(traj, n, n + 1, op16, grids, problem)
                     assert np.array_equal(endpoints[n], single[0]), (chunk, n)
+
+    def test_shared_system_factored_once_per_substep(self, op16, linear_heat, monkeypatch):
+        # a warm one-chunk sweep of linear-heat factors its shared system once
+        # per substep and solves each interval's state against those factors,
+        # one lu_solve per state, with no linalg.solve
+        grids = TimeGrids(1.0, 8, 6)
+        traj = run_coarse(linear_heat, op16, grids)
+        fine_sweep_intervals(traj, 0, 8, op16, grids, linear_heat)
+        calls = {"lu_factor": 0, "lu_solve": 0, "linalg.solve": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(stepping, "lu_factor", spy("lu_factor", stepping.lu_factor))
+        monkeypatch.setattr(stepping, "lu_solve", spy("lu_solve", stepping.lu_solve))
+        monkeypatch.setattr(np.linalg, "solve", spy("linalg.solve", np.linalg.solve))
+        fine_sweep_intervals(traj, 0, 8, op16, grids, linear_heat)
+        assert calls == {"lu_factor": grids.m, "lu_solve": grids.m * 8, "linalg.solve": 0}
 
     def test_coefficient_without_stack_axis_builds_one_system(self, op16, linear_heat):
         # one (interior, interior) system per substep, not one per interval
