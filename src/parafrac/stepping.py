@@ -25,8 +25,8 @@ frozen at the previous state, so ``(I - gamma A) u = history + gamma f`` is
 one dense solve; each march only builds its history sum.  On a stack whose
 diffusion coefficient has no stack axis (it depends on neither ``u`` nor
 ``t``), ``A`` and ``I - gamma A`` are built once per substep and chunk,
-factored once by scipy's LU with a small-pivot check, and each state is
-solved against those factors, one right-hand side per ``lu_solve``, as a
+factored once by LAPACK ``getrf`` with a small-pivot check, and each state
+is solved against those factors, one right-hand side per ``getrs``, as a
 single system is.  A stack of per-state systems (a coefficient that depends
 on ``u`` or ``t``) goes to numpy's stacked ``linalg.solve``, which solves a
 chunk's systems in one call instead of one call per system but hides its
@@ -34,11 +34,18 @@ pivots, so it is not pivot-checked.  Either way a state's solution is a
 one-column LAPACK ``getrs`` against the ``getrf`` factors of its system, so
 its bits do not depend on the other states in its chunk; a many-column
 ``getrs`` rounds differently.
-For 16 systems of 7x7 on one core of a Xeon host the stacked solve took
-25 us, a loop of raw LAPACK ``getrf``/``getrs`` 54 us and a loop of scipy
-``lu_factor``/``lu_solve`` 374 us.  An exact check per stacked system made
-1-thread parareal 1.3 to 7 times slower, and a solve picked by batch size
-would tie results to the thread count.
+The checked factor and solve call scipy's LAPACK ``dgetrf``/``dgetrs``
+directly (:func:`lu_factor`, :func:`lu_solve`), which gives the bits of
+scipy's ``lu_factor``/``lu_solve`` without their per-call argument
+handling.  On one core of a 2-vCPU Xeon host, one BLAS thread, a
+one-column solve at 63 unknowns took about 2 us raw and 10 us through
+scipy's ``lu_solve``, and one coarse
+step 74 us instead of 99 us (linear-heat, degree 64) and 33 us instead of
+47 us (paper42, degree 16).  For 16 systems of 7x7 the stacked solve took
+13 us, a loop of raw ``getrf``/``getrs`` 27 us and a loop of scipy's
+wrappers 234 us.  An exact check per stacked system made 1-thread
+parareal 1.3 to 7 times slower, and a solve picked by batch size would tie
+results to the thread count.
 
 States are vectors of interior collocation values; trajectories are arrays
 of shape ``(nodes, interior)``.
@@ -49,7 +56,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ParafracError, SolverFailure
 from .l1 import _step_factor, _telescoped, weights_for
@@ -77,13 +84,36 @@ def initial_state(problem, op):
     return np.broadcast_to(u0, (op.interior_size,)).astype(float, copy=True)
 
 
+def lu_factor(system):
+    """``(lu, piv)`` of one matrix by LAPACK ``getrf``, the bits of ``scipy.linalg.lu_factor``.
+
+    An exactly zero pivot (``info > 0``) is returned as it is, without
+    scipy's warning; only an illegal argument (``info < 0``) raises.
+    """
+    lu, piv, info = dgetrf(system)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
+
+
+def lu_solve(factors, rhs):
+    """One right-hand side solved by LAPACK ``getrs`` against :func:`lu_factor`'s factors.
+
+    The bits of ``scipy.linalg.lu_solve``.
+    """
+    return dgetrs(*factors, rhs)[0]
+
+
 def _checked_factor(system, step):
     """LU factors of one matrix, partial pivoting; rejects singular or tiny pivots.
 
-    A failure names ``step``.
+    The factors are LAPACK ``getrf``'s, called directly (:func:`lu_factor`),
+    with the bits of scipy's ``lu_factor``.  An exactly zero pivot fails the
+    pivot rule like any pivot of at most ``PIVOT_RTOL`` times the largest
+    entry, whatever the warning filter.  A failure names ``step``.
     """
     try:
-        lu, piv = lu_factor(system, check_finite=False)
+        lu, piv = lu_factor(system)
     except Exception as exc:
         raise SolverFailure(step, f"LU factorisation failed: {exc}") from exc
     scale = float(np.abs(system).max())
@@ -98,17 +128,17 @@ def _lu_solve_checked(system, rhs, step):
 
     ``system`` is one matrix or a stack of one, ``rhs`` one state or a stack
     of states; the solution has the shape of ``rhs``.  The matrix is factored
-    once, and each state of a stack is its own one-column ``lu_solve``: LAPACK
-    ``getrs`` rounds a many-column solve differently, which would tie the
-    bits to the grouping.  A failure names ``step``.
+    once by LAPACK ``getrf``, and each state of a stack is its own one-column
+    ``getrs`` (:func:`lu_solve`): a many-column ``getrs`` rounds differently,
+    which would tie the bits to the grouping.  A failure names ``step``.
     """
     factors = _checked_factor(system.reshape(system.shape[-2:]), step)
     if rhs.ndim == 1:
-        out = lu_solve(factors, rhs, check_finite=False)
+        out = lu_solve(factors, rhs)
     else:
         out = np.empty_like(rhs)
         for x, b in zip(out, rhs):
-            x[...] = lu_solve(factors, b, check_finite=False)
+            x[...] = lu_solve(factors, b)
     if not np.isfinite(out).all():
         raise SolverFailure(step, "non-finite solution from linear solve")
     return out

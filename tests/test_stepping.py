@@ -7,9 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from parafrac import (
     TimeGrids,
+    assemble_diffusion,
+    build_operator,
     chain_fine,
     coarse_step,
     fine_propagate,
@@ -20,7 +23,7 @@ from parafrac import (
 )
 from parafrac import stepping
 from parafrac.errors import SolverFailure
-from parafrac.l1 import FractionalWeights, gamma_2_minus
+from parafrac.l1 import FractionalWeights, _step_factor, gamma_2_minus
 from parafrac.problems import get_problem
 from parafrac.spectral import l2_norm
 from parafrac.stepping import _lu_solve_checked, fine_sweep_intervals
@@ -502,14 +505,49 @@ class TestPropagatorProperties:
         assert abs(c_big - c_small) <= 0.5 * max(abs(c_big), abs(c_small), 1.0)
 
 
+def _step_system(problem, degree):
+    """``I - gamma A`` of one L1 step of width 1/64, ``A`` frozen at the initial state."""
+    op = build_operator(degree, problem.a, problem.b)
+    a_mat = assemble_diffusion(op, initial_state(problem, op), 0.0, problem)
+    return np.eye(op.interior_size) - _step_factor(1 / 64, problem.alpha) * a_mat
+
+
 class TestSolverGuards:
+    @pytest.mark.parametrize("name, degree", [
+        ("paper42", 16), ("linear-heat", 8), ("linear-heat", 64), ("random", 63),
+    ])
+    def test_lapack_solve_has_scipy_bits(self, name, degree):
+        # the raw getrf/getrs pair gives the factors, pivots and solution of
+        # scipy's lu_factor/lu_solve wrappers
+        rng = np.random.default_rng(degree)
+        if name == "random":
+            system = np.eye(degree) + 0.1 * rng.standard_normal((degree, degree))
+        else:
+            system = _step_system(get_problem(name), degree)
+        rhs = rng.standard_normal(system.shape[0])
+        lu, piv = stepping.lu_factor(system)
+        want_lu, want_piv = scipy.linalg.lu_factor(system)
+        assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+        assert np.array_equal(stepping.lu_solve((lu, piv), rhs),
+                              scipy.linalg.lu_solve((want_lu, want_piv), rhs))
+
     def test_singular_system_rejected(self):
+        # an exact zero pivot meets the pivot rule, whatever the warning filter
         singular = np.ones((3, 3))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(SolverFailure) as err:
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="singular or ill-conditioned") as err:
                 _lu_solve_checked(singular, np.ones(3), step=5)
         assert err.value.step == 5
+
+    def test_nan_system_rejected(self):
+        system = np.eye(3)
+        system[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure) as err:
+                _lu_solve_checked(system, np.ones(3), step=(2, 1))
+        assert err.value.step == (2, 1)
 
     def test_fine_sweep_names_first_failing_interval(self, op8, monkeypatch):
         # interval 2 fails from substep 4 and interval 6 from substep 2; every

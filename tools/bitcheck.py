@@ -46,7 +46,12 @@ under its own name: ``assemble_diffusion`` at degrees 8, 16 and 64 on one
 state with ``D = 1 + u`` (``assembly:n<degree>:state``), on a stack of 5
 states with ``D = 1 + u`` (``:stack``), on that stack with a column of
 times and ``D = 1 + t`` (``:time-column``) and on that stack with a scalar
-``D`` (``:scalar``).  So are the two L1 weight grids a solve reads, for
+``D`` (``:scalar``).  So is the checked dense solve,
+``stepping._lu_solve_checked``: the linear-heat system ``I - gamma A``
+(``gamma`` the L1 step factor of a step of 1/64, ``A`` assembled at the
+initial state) at degrees 8, 16 and 64, 7, 15 and 63 unknowns, solved for
+one state (``solve:n<degree>:state``) and for a stack of 5 states
+(``:stack``).  So are the two L1 weight grids a solve reads, for
 every configuration and custom problem: ``b_{q/m}`` for
 ``q = 0..(nt-1)m`` (``weights:<config>:m``), which the fine propagator
 applies to the coarse history, and ``b_q`` for ``q = 0..nt m``
@@ -221,6 +226,25 @@ def _assembly(pf):
     return arrays
 
 
+def _solves(pf):
+    """Name -> checked dense solve of ``I - gamma A`` for one state and a stack of 5."""
+    from parafrac.l1 import _step_factor
+    from parafrac.stepping import _lu_solve_checked
+
+    problem = pf.get_problem("linear-heat")
+    gam = _step_factor(1 / 64, problem.alpha)
+    arrays = {}
+    for degree in (8, 16, 64):
+        op = pf.build_operator(degree, problem.a, problem.b)
+        a_mat = pf.assemble_diffusion(op, pf.initial_state(problem, op), 0.0, problem)
+        system = np.eye(op.interior_size) - gam * a_mat
+        states = np.random.default_rng(degree).standard_normal((5, op.interior_size))
+        key = f"solve:n{degree}"
+        arrays[f"{key}:state"] = _lu_solve_checked(system, states[0], 0)
+        arrays[f"{key}:stack"] = _lu_solve_checked(system, states, 0)
+    return arrays
+
+
 def _outcome(fn):
     """``"ok"``, or the exception type with the location fields it carries."""
     try:
@@ -286,6 +310,7 @@ def _dump(out):
         print(f"  {label}: done", file=sys.stderr, flush=True)
     arrays.update(_calculators(pf))
     arrays.update(_assembly(pf))
+    arrays.update(_solves(pf))
     np.savez(out, **arrays)
 
 
